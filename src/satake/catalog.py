@@ -18,7 +18,7 @@ from __future__ import annotations
 import difflib
 import json
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .diagram import SatakeDiagram, parse_diagram
 from .errors import UnknownRealFormError
@@ -31,7 +31,11 @@ Entry = tuple[tuple[str, ...], str]
 class RealFormRecord:
     names: tuple[str, ...]
     text: str
-    diagram: SatakeDiagram
+
+    @cached_property
+    def diagram(self) -> SatakeDiagram:
+        """The parsed ``text``; parsed on first access, so a lookup pays for one."""
+        return parse_diagram(self.text)
 
     @property
     def name(self) -> str:
@@ -224,7 +228,7 @@ def _catalog_cached(rank_bound: int) -> tuple[RealFormRecord, ...]:
             if key in seen:
                 raise RuntimeError(f"name {name!r} appears in {seen[key]!r} and {text!r}")
             seen[key] = text
-        records.append(RealFormRecord(tuple(names), text, parse_diagram(text)))
+        records.append(RealFormRecord(tuple(names), text))
     return tuple(records)
 
 

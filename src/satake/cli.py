@@ -12,7 +12,6 @@ import argparse
 import os
 import signal
 import sys
-from fractions import Fraction
 
 from . import __version__
 from .catalog import catalog, classification_to_json, classify, lookup

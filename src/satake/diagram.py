@@ -126,7 +126,7 @@ def format_diagram(d: SatakeDiagram) -> str:
 
 
 def _parse_index(item: str, n: int, pos: int) -> int:
-    if not item.isdigit():
+    if not (item.isascii() and item.isdigit()):
         raise DiagramParseError(f"expected a 1-based node index, got {item!r}", pos)
     v = int(item)
     if not 1 <= v <= n:
@@ -175,6 +175,8 @@ def parse_diagram(text: str) -> SatakeDiagram:
             j = _parse_index(halves[1], n, cursor + len(halves[0]) + 1)
             if i == j:
                 raise DiagramParseError(f"arrow {item!r} connects a node to itself", cursor)
+            if (i, j) in arrows or (j, i) in arrows:
+                raise DiagramParseError(f"arrow {item!r} repeats an earlier arrow", cursor)
             arrows.append((i, j))
             cursor += len(item) + 1
     return SatakeDiagram.create(types, black, arrows)

@@ -227,19 +227,29 @@ def build_root_system(types: Sequence[SimpleType | str]) -> RootSystem:
 
 @lru_cache(maxsize=None)
 def _build_cached(comps: tuple[SimpleType, ...]) -> RootSystem:
-    blocks = [_cartan_block(t) for t in comps]
     n = sum(t.rank for t in comps)
     cartan = [[0] * n for _ in range(n)]
     start = 0
     symmetrizer: list[int] = []
-    for t, block in zip(comps, blocks):
+    roots: list[Coords] = []
+    for t in comps:
+        block = _cartan_block(t)
         for i in range(t.rank):
             for j in range(t.rank):
                 cartan[start + i][start + j] = block[i][j]
         symmetrizer.extend(_symmetrizer_block(t))
+        # Components' roots padded into place; sorting by (height, tuple)
+        # below is exactly the closure's order, so TxT costs one T build.
+        roots += [(0,) * start + r + (0,) * (n - start - t.rank) for r in _component_roots(t)]
         start += t.rank
+    roots.sort(key=lambda r: (sum(r), r))
     frozen = tuple(tuple(row) for row in cartan)
-    return RootSystem(comps, frozen, tuple(symmetrizer), _positive_roots_from_cartan(frozen))
+    return RootSystem(comps, frozen, tuple(symmetrizer), tuple(roots))
+
+
+@lru_cache(maxsize=None)
+def _component_roots(t: SimpleType) -> tuple[Coords, ...]:
+    return _positive_roots_from_cartan(tuple(tuple(row) for row in _cartan_block(t)))
 
 
 def _check_node(rs: RootSystem, i: int) -> None:

@@ -3,10 +3,15 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
+import satake
 from satake.catalog import (
     catalog,
     classification_to_json,
@@ -45,6 +50,21 @@ class TestCatalogBuild:
 
     def test_caching_returns_same_tuple(self):
         assert catalog(8) is catalog(8)
+
+    def test_diagrams_parse_on_first_access(self):
+        # A fresh interpreter, so the module-level caches start cold.
+        code = (
+            "from satake.catalog import catalog, lookup\n"
+            "parsed = lambda: sum('diagram' in vars(rec) for rec in catalog())\n"
+            "print(parsed())\n"
+            "lookup('e8(-24)').diagram\n"
+            "print(parsed())\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(satake.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+        )
+        assert proc.stdout.split() == ["0", "1"]
 
 
 class TestLookup:

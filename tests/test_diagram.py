@@ -102,6 +102,11 @@ class TestTextFormat:
             ("A2 black= arrows=1:1", 17),
             ("A2 black= arrows=1:9", 19),
             ("A3 black= arrows=1:2,3", 21),
+            ("A3 black=\u0661 arrows=", 9),
+            ("A3 black=\u00b2 arrows=", 9),
+            ("A3 black= arrows=1:\u0663", 19),
+            ("A3 black= arrows=1:3,1:3", 21),
+            ("A3 black= arrows=3:1,1:3", 21),
         ],
     )
     def test_parse_errors_carry_positions(self, text, pos):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from conftest import enumerate_weyl, positive_roots_by_orbit
 from satake.rootsys import (
     SimpleType,
+    _positive_roots_from_cartan,
     apply_word,
     build_root_system,
     identify_cartan,
@@ -140,6 +141,15 @@ class TestPositiveRoots:
         rs = build_root_system(["A2", "A2"])
         assert len(rs.positive_roots) == 6
         assert set(rs.positive_roots) == positive_roots_by_orbit(rs)
+
+    @pytest.mark.parametrize(
+        "types", [[t] for t in ALL_SIMPLE] + [[t, t] for t in ALL_SIMPLE], ids="x".join
+    )
+    def test_matches_closure_on_full_cartan(self, types):
+        # Systems are assembled from per-component roots; the closure run
+        # on the whole Cartan matrix must give the same tuple, order included.
+        rs = build_root_system(types)
+        assert rs.positive_roots == _positive_roots_from_cartan(rs.cartan)
 
     def test_is_root(self):
         rs = _sys("A2")
