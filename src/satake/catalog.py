@@ -23,6 +23,7 @@ from functools import cached_property, lru_cache
 from .diagram import SatakeDiagram, parse_diagram
 from .errors import UnknownRealFormError
 from .involution import permutation_cycles, satake_automorphism
+from .rootsys import MAX_RANK
 
 Entry = tuple[tuple[str, ...], str]
 
@@ -206,8 +207,8 @@ def normalize_name(name: str) -> str:
 
 def catalog(rank_bound: int = 8) -> tuple[RealFormRecord, ...]:
     """All records with diagram rank at most ``rank_bound`` per component."""
-    if rank_bound < 1:
-        raise ValueError("rank bound must be at least 1")
+    if not 1 <= rank_bound <= MAX_RANK:
+        raise ValueError(f"rank bound must be between 1 and {MAX_RANK}")
     return _catalog_cached(int(rank_bound))
 
 

@@ -17,23 +17,41 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import DiagramDataError, DiagramParseError
-from .involution import dual_cartan_involution
+from .involution import _Derivation, dual_cartan_involution
 from .rootsys import RootSystem, SimpleType, build_root_system
 
 
 @dataclass(frozen=True)
-class SatakeDiagram:
+class SatakeDiagram(_Derivation):
     """One or two equal simple components, a black node set, arrow pairs.
 
     Arrows are stored sorted with each pair ascending, so equal diagrams
-    compare equal.  Construction only rejects data that makes the object
-    meaningless (bad indices, self-arrows, mismatched components);
-    semantic consistency is the job of ``validate``.
+    compare equal.  Construction, direct or through ``create``, only
+    rejects data that makes the object meaningless (bad indices,
+    self-arrows, mismatched components); semantic consistency is the job
+    of ``validate``.  What is derived from the diagram is computed once
+    and kept on the instance (see ``involution``).
     """
 
     types: tuple[SimpleType, ...]
     black: frozenset[int]
     arrows: tuple[tuple[int, int], ...]
+
+    def __post_init__(self):
+        try:
+            rs = build_root_system(self.types)
+        except ValueError as e:
+            raise DiagramDataError([("component types", str(e))]) from e
+        object.__setattr__(self, "types", rs.components)
+        for i in sorted(self.black):
+            if not 0 <= i < rs.n:
+                raise DiagramDataError([("black node out of range", f"node {i + 1}")])
+        for i, j in self.arrows:
+            tag = f"{i + 1}<->{j + 1}"
+            if not (0 <= i < rs.n and 0 <= j < rs.n):
+                raise DiagramDataError([("arrow endpoint out of range", tag)])
+            if i == j:
+                raise DiagramDataError([("arrow connects a node to itself", tag)])
 
     @classmethod
     def create(
@@ -42,31 +60,8 @@ class SatakeDiagram:
         black: Iterable[int] = (),
         arrows: Iterable[tuple[int, int]] = (),
     ) -> "SatakeDiagram":
-        try:
-            rs = build_root_system(
-                [SimpleType.parse(t) if isinstance(t, str) else t for t in types]
-            )
-        except ValueError as e:
-            raise DiagramDataError([("component types", str(e))]) from e
-        n = rs.n
-        b = frozenset(int(i) for i in black)
-        for i in sorted(b):
-            if not 0 <= i < n:
-                raise DiagramDataError([("black node out of range", f"node {i + 1}")])
-        norm = set()
-        for i, j in arrows:
-            i, j = int(i), int(j)
-            for k in (i, j):
-                if not 0 <= k < n:
-                    raise DiagramDataError(
-                        [("arrow endpoint out of range", f"{i + 1}<->{j + 1}")]
-                    )
-            if i == j:
-                raise DiagramDataError(
-                    [("arrow connects a node to itself", f"{i + 1}<->{j + 1}")]
-                )
-            norm.add((min(i, j), max(i, j)))
-        return cls(rs.components, b, tuple(sorted(norm)))
+        norm = {(min(int(i), int(j)), max(int(i), int(j))) for i, j in arrows}
+        return cls(tuple(types), frozenset(int(i) for i in black), tuple(sorted(norm)))
 
     @cached_property
     def rs(self) -> RootSystem:
@@ -128,7 +123,11 @@ def format_diagram(d: SatakeDiagram) -> str:
 def _parse_index(item: str, n: int, pos: int) -> int:
     if not (item.isascii() and item.isdigit()):
         raise DiagramParseError(f"expected a 1-based node index, got {item!r}", pos)
-    v = int(item)
+    try:
+        v = int(item)
+    except ValueError:  # more digits than the interpreter converts
+        msg = f"node index of {len(item)} digits out of range 1..{n}"
+        raise DiagramParseError(msg, pos) from None
     if not 1 <= v <= n:
         raise DiagramParseError(f"node index {v} out of range 1..{n}", pos)
     return v - 1

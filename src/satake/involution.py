@@ -14,16 +14,21 @@ pairing of white nodes, this module computes:
   with multiplicities and an exact type identification, including the
   non-reduced BC types.
 
-Diagram arguments are duck-typed: anything exposing ``rs``, ``n``,
-``black``, ``whites``, ``arrows`` and ``omega_map`` works.  All checks
-report granular (check, detail) pairs through ``DiagramDataError``.
+Diagram arguments are ``SatakeDiagram`` instances.  Each diagram is
+derived once: ``_Derivation``, mixed into ``SatakeDiagram``, computes the
+stages (black longest element, node map, lattice involution with its
+checks, corrections, restricted roots) on first need and keeps them on
+the instance, and the public functions read them.  All checks report
+granular (check, detail) pairs through ``DiagramDataError``.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
 from typing import TYPE_CHECKING, Sequence
 
 from .errors import DiagramDataError
@@ -32,10 +37,11 @@ from .rootsys import (
     Matrix,
     RootSystem,
     SimpleType,
+    _apply,
+    _connected_sets,
     apply_word,
     identify_cartan,
     identity_matrix,
-    induced_node_permutation,
     is_diagram_automorphism,
     longest_element,
     mat_mul,
@@ -48,28 +54,20 @@ Failures = tuple[tuple[str, str], ...]
 
 
 def structural_failures(d: "SatakeDiagram") -> Failures:
-    """Checks that only involve the node sets, not the lattice action."""
+    """Checks that only involve the node sets, not the lattice action.
+
+    Index ranges and self-arrows are enforced when the diagram is built.
+    """
     fails: list[tuple[str, str]] = []
-    n = d.n
     seen: dict[int, int] = {}
     for i, j in d.arrows:
-        tag = f"{i + 1}<->{j + 1}"
-        if not (0 <= i < n and 0 <= j < n):
-            fails.append(("arrow endpoint out of range", tag))
-            continue
-        if i == j:
-            fails.append(("arrow connects a node to itself", tag))
-            continue
         if i in d.black or j in d.black:
-            fails.append(("arrow touches black node", tag))
+            fails.append(("arrow touches black node", f"{i + 1}<->{j + 1}"))
         seen[i] = seen.get(i, 0) + 1
         seen[j] = seen.get(j, 0) + 1
     for k in sorted(seen):
         if seen[k] > 1:
             fails.append(("node in more than one arrow", f"node {k + 1}"))
-    for i in sorted(d.black):
-        if not 0 <= i < n:
-            fails.append(("black node out of range", f"node {i + 1}"))
     if fails:
         return tuple(dict.fromkeys(fails))
     omega = d.omega_map
@@ -83,7 +81,95 @@ def structural_failures(d: "SatakeDiagram") -> Failures:
                         f"nodes {i + 1},{j + 1} map to {omega[i] + 1},{omega[j] + 1}",
                     )
                 )
-    return tuple(dict.fromkeys(fails))
+    return tuple(fails)
+
+
+class _Derivation:
+    """The derivation of a ``SatakeDiagram``, mixed into that class.
+
+    Every stage is a ``cached_property`` computed on first need and kept
+    on the instance, so it is computed once however many accessors ask,
+    and it goes away with the diagram.  The stages that run checks hold
+    ``(value, failures)`` and the accessors raise the failures; the
+    later stages reach the node map through ``satake_automorphism``, so
+    they raise its failures.
+    """
+
+    @cached_property
+    def _w0_word(self: "SatakeDiagram") -> tuple[int, ...]:
+        return longest_element(self.rs, self.black)
+
+    def _w0(self: "SatakeDiagram", i: int) -> Coords:
+        """The black subsystem's longest element applied to simple root ``i``."""
+        return apply_word(self.rs, self._w0_word, self.rs.simple_root(i))
+
+    @cached_property
+    def _w0_black(self: "SatakeDiagram") -> dict[int, Coords]:
+        # the node map needs only these, so a diagram it rejects never
+        # pays for the white images
+        return {i: self._w0(i) for i in self.black}
+
+    @cached_property
+    def _node_map(self: "SatakeDiagram") -> tuple[tuple[int, ...], Failures]:
+        fails = structural_failures(self)
+        if fails:
+            return (), fails
+        perm = list(range(self.n))
+        for i in self.whites:
+            perm[i] = self.omega_map[i]
+        for i in self.black:
+            # w0 sends a black simple root to minus a black simple root
+            perm[i] = self._w0_black[i].index(-1)
+        if any(perm[perm[i]] != i for i in range(self.n)):
+            fails = (("node map is not an involution", _perm_text(perm)),)
+        elif not is_diagram_automorphism(self.rs, perm):
+            fails = (("node map breaks the Cartan matrix", _perm_text(perm)),)
+        return tuple(perm), fails
+
+    @cached_property
+    def _theta(self: "SatakeDiagram") -> tuple[tuple[Matrix, tuple[Coords, ...]], Failures]:
+        """The lattice involution and its images of the positive roots."""
+        perm = satake_automorphism(self)
+        n = self.n
+        w0 = self._w0_black | {i: self._w0(i) for i in self.whites}
+        # column j is -w0(alpha_perm(j))
+        theta = tuple(tuple(-w0[perm[j]][i] for j in range(n)) for i in range(n))
+        images = tuple(_apply(theta, r) for r in self.rs.positive_roots)
+        return (theta, images), involution_failures(self, theta, images)
+
+    @cached_property
+    def _corrections(self: "SatakeDiagram") -> dict[int, dict[int, int]]:
+        theta, _ = _checked(self._theta)
+        out: dict[int, dict[int, int]] = {}
+        for i in sorted(self.whites):
+            vec = _correction_vector(self, theta, i)
+            out[i] = {b: vec[b] for b in sorted(self.black)}
+        return out
+
+    @cached_property
+    def _restricted(self: "SatakeDiagram") -> "RestrictedRoots":
+        theta, images = _checked(self._theta)
+        rs = self.rs
+        mult: dict[Coords, int] = {}
+        for r, img in zip(rs.positive_roots, images):
+            s = tuple(a - b for a, b in zip(r, img))
+            if any(s):
+                mult[s] = mult.get(s, 0) + 1
+        positive = tuple(sorted(mult, key=lambda v: (sum(v), v)))
+        base: list[Coords] = []
+        for i in self.whites:
+            col = tuple(rs.simple_root(i)[k] - theta[k][i] for k in range(self.n))
+            if col not in base:
+                base.append(col)
+        label = _restricted_label(rs, tuple(base), frozenset(positive))
+        return RestrictedRoots(tuple(base), positive, mult, label)
+
+
+def _checked(stage: tuple[object, Failures]):
+    value, fails = stage
+    if fails:
+        raise DiagramDataError(fails)
+    return value
 
 
 def satake_automorphism(d: "SatakeDiagram") -> tuple[int, ...]:
@@ -94,21 +180,7 @@ def satake_automorphism(d: "SatakeDiagram") -> tuple[int, ...]:
     combined map must be an involutive automorphism of the Dynkin
     diagram, otherwise ``DiagramDataError`` lists what broke.
     """
-    fails = list(structural_failures(d))
-    if fails:
-        raise DiagramDataError(fails)
-    perm = list(range(d.n))
-    for i in d.whites:
-        perm[i] = d.omega_map[i]
-    for i, j in induced_node_permutation(d.rs, d.black).items():
-        perm[i] = j
-    if any(perm[perm[i]] != i for i in range(d.n)):
-        raise DiagramDataError([("node map is not an involution", _perm_text(perm))])
-    if not is_diagram_automorphism(d.rs, perm):
-        raise DiagramDataError(
-            [("node map breaks the Cartan matrix", _perm_text(perm))]
-        )
-    return tuple(perm)
+    return _checked(d._node_map)
 
 
 def _perm_text(perm: Sequence[int]) -> str:
@@ -133,11 +205,6 @@ def permutation_cycles(perm: Sequence[int]) -> str:
     return "".join(parts) if parts else "identity"
 
 
-def _apply(m: Matrix, v: Sequence[int]) -> Coords:
-    n = len(m)
-    return tuple(sum(m[i][j] * v[j] for j in range(n)) for i in range(n))
-
-
 def dual_cartan_involution(d: "SatakeDiagram") -> Matrix:
     """Lattice involution: negated longest black element after the node map.
 
@@ -147,22 +214,16 @@ def dual_cartan_involution(d: "SatakeDiagram") -> Matrix:
     negative root.  Violations raise ``DiagramDataError`` with the full
     failure list.
     """
-    perm = satake_automorphism(d)
-    rs = d.rs
-    word = longest_element(rs, d.black)
-    cols = [
-        tuple(-x for x in apply_word(rs, word, rs.simple_root(perm[j])))
-        for j in range(rs.n)
-    ]
-    theta = tuple(tuple(cols[j][i] for j in range(rs.n)) for i in range(rs.n))
-    fails = involution_failures(d, theta)
-    if fails:
-        raise DiagramDataError(fails)
-    return theta
+    return _checked(d._theta)[0]
 
 
-def involution_failures(d: "SatakeDiagram", theta: Matrix) -> Failures:
-    """All lattice-level consistency checks for a candidate involution."""
+def involution_failures(
+    d: "SatakeDiagram", theta: Matrix, images: Sequence[Coords]
+) -> Failures:
+    """All lattice-level consistency checks for a candidate involution.
+
+    ``images`` holds ``theta`` applied to each positive root, in order.
+    """
     rs = d.rs
     n = d.n
     fails: list[tuple[str, str]] = []
@@ -173,8 +234,7 @@ def involution_failures(d: "SatakeDiagram", theta: Matrix) -> Failures:
         if col != rs.simple_root(j):
             fails.append(("involution-fixes-black", f"black simple root {j + 1} moves"))
     pos = rs.positive_root_set
-    for r in rs.positive_roots:
-        img = _apply(theta, r)
+    for r, img in zip(rs.positive_roots, images):
         neg = tuple(-x for x in img)
         if img not in pos and neg not in pos:
             fails.append(("involution-roots", f"image of root {r} is not a root"))
@@ -215,7 +275,7 @@ def _correction_failures(d: "SatakeDiagram", theta: Matrix) -> list[tuple[str, s
     return fails
 
 
-def black_corrections(d: "SatakeDiagram", theta: Matrix | None = None) -> dict[int, dict[int, int]]:
+def black_corrections(d: "SatakeDiagram") -> dict[int, dict[int, int]]:
     """Per white node, the nonnegative coefficients over the black nodes.
 
     The involution sends a white simple root to minus its arrow partner
@@ -223,16 +283,7 @@ def black_corrections(d: "SatakeDiagram", theta: Matrix | None = None) -> dict[i
     those combinations, one inner map per white node, listing every
     black node (zeros included).
     """
-    if theta is None:
-        theta = dual_cartan_involution(d)
-    fails = _correction_failures(d, theta)
-    if fails:
-        raise DiagramDataError(fails)
-    out: dict[int, dict[int, int]] = {}
-    for i in sorted(d.whites):
-        vec = _correction_vector(d, theta, i)
-        out[i] = {b: vec[b] for b in sorted(d.black)}
-    return out
+    return {i: dict(inner) for i, inner in d._corrections.items()}
 
 
 @dataclass(frozen=True)
@@ -256,42 +307,8 @@ class RestrictedRoots:
 
 
 def restricted_roots(d: "SatakeDiagram") -> RestrictedRoots:
-    theta = dual_cartan_involution(d)
-    rs = d.rs
-    mult: dict[Coords, int] = {}
-    for r in rs.positive_roots:
-        img = _apply(theta, r)
-        s = tuple(a - b for a, b in zip(r, img))
-        if any(s):
-            mult[s] = mult.get(s, 0) + 1
-    positive = tuple(sorted(mult, key=lambda v: (sum(v), v)))
-    base: list[Coords] = []
-    for i in range(d.n):
-        if i in d.black:
-            continue
-        col = tuple(rs.simple_root(i)[k] - theta[k][i] for k in range(d.n))
-        if col not in base:
-            base.append(col)
-    label = _restricted_label(rs, tuple(base), frozenset(positive))
-    return RestrictedRoots(tuple(base), positive, mult, label)
-
-
-def _connected_index_sets(cartan: Matrix) -> list[tuple[int, ...]]:
-    remaining = set(range(len(cartan)))
-    comps = []
-    while remaining:
-        seed = min(remaining)
-        comp = {seed}
-        frontier = [seed]
-        while frontier:
-            u = frontier.pop()
-            for v in remaining - comp:
-                if cartan[u][v] != 0:
-                    comp.add(v)
-                    frontier.append(v)
-        comps.append(tuple(sorted(comp)))
-        remaining -= comp
-    return sorted(comps)
+    rr = d._restricted
+    return replace(rr, multiplicity=dict(rr.multiplicity))
 
 
 def _restricted_label(
@@ -315,7 +332,7 @@ def _restricted_label(
     cartan = tuple(rows)
     non_reduced = any(tuple(2 * x for x in s) in positive for s in positive)
     labels: list[SimpleType] = []
-    for comp in _connected_index_sets(cartan):
+    for comp in _connected_sets(cartan, range(r)):
         sub = tuple(tuple(cartan[i][j] for j in comp) for i in comp)
         try:
             labels.append(identify_cartan(sub))
@@ -338,33 +355,26 @@ def _restricted_label(
 def base_coordinates(base: Sequence[Coords], vec: Coords) -> tuple[Fraction, ...]:
     """Exact coordinates of ``vec`` in the span of ``base``.
 
-    Gaussian elimination over Fractions followed by a substitution
-    check; raises ValueError when the vector is not in the span.
+    Precondition: every base vector has a private coordinate, one where
+    it alone of the base is nonzero.  Every restricted base has one: the
+    image of a white node is its only base vector with that node in its
+    support.  Each coefficient is read off there, then one integer check
+    confirms the combination equals ``vec``.  Raises ValueError when a
+    base vector has no private coordinate or ``vec`` is not in the span.
     """
-    r = len(base)
-    n = len(vec)
-    rows = [[Fraction(base[j][k]) for j in range(r)] + [Fraction(vec[k])] for k in range(n)]
-    pivots: list[tuple[int, int]] = []
-    row_i = 0
-    for col in range(r):
-        piv = next((k for k in range(row_i, n) if rows[k][col] != 0), None)
-        if piv is None:
-            continue
-        rows[row_i], rows[piv] = rows[piv], rows[row_i]
-        inv = rows[row_i][col]
-        rows[row_i] = [x / inv for x in rows[row_i]]
-        for k in range(n):
-            if k != row_i and rows[k][col] != 0:
-                f = rows[k][col]
-                rows[k] = [x - f * y for x, y in zip(rows[k], rows[row_i])]
-        pivots.append((row_i, col))
-        row_i += 1
-    coords = [Fraction(0)] * r
-    for ri, col in pivots:
-        coords[col] = rows[ri][-1]
-    for k in range(n):
-        if sum(coords[j] * base[j][k] for j in range(r)) != vec[k]:
-            raise ValueError("vector is not in the span of the base")
+    support = [sum(1 for b in base if b[k]) for k in range(len(vec))]
+    coords: list[Fraction] = []
+    for b in base:
+        k = next((k for k in range(len(vec)) if b[k] and support[k] == 1), None)
+        if k is None:
+            raise ValueError(f"base vector {b} has no private coordinate")
+        coords.append(Fraction(vec[k], b[k]))
+    den = lcm(*(c.denominator for c in coords))
+    scaled = [c.numerator * (den // c.denominator) for c in coords]
+    if any(
+        sum(x * b[k] for x, b in zip(scaled, base)) != den * vec[k] for k in range(len(vec))
+    ):
+        raise ValueError("vector is not in the span of the base")
     return tuple(coords)
 
 

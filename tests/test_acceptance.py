@@ -142,7 +142,7 @@ def _involution_laws(d, tag):
     minus_theta = tuple(tuple(-x for x in row) for row in theta)
     assert mat_mul(w, minus_theta) == m_eps, tag
     assert mat_mul(minus_theta, w) == m_eps, tag
-    corr = black_corrections(d, theta)
+    corr = black_corrections(d)
     for i in d.whites:
         assert set(corr[i]) == set(d.black), tag
         assert all(v >= 0 for v in corr[i].values()), tag

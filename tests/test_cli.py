@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from satake.cli import run
+from satake.rootsys import MAX_RANK
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -91,6 +92,41 @@ def test_rank_bound_flag(capsys):
     assert all("E" not in row["diagram"].split(" ")[0] for row in payload["real_forms"])
     assert run(["--rank-bound", "2", "show", "f4(4)"]) == 1
     capsys.readouterr()
+
+
+def test_rank_cap_exits_2(capsys, monkeypatch):
+    # rejected before any root is generated
+    monkeypatch.setattr("satake.rootsys._component_roots", None)
+    over = MAX_RANK + 1
+    assert run(["epsilon", f"A{over} black= arrows="]) == 2
+    assert f"cap of {MAX_RANK}" in capsys.readouterr().err
+    assert run(["--rank-bound", str(over), "list"]) == 2
+    assert f"between 1 and {MAX_RANK}" in capsys.readouterr().err
+
+
+LITERAL_QUERIES = [
+    ["epsilon", "{}"],
+    ["restricted", "{}"],
+    ["restricted", "{}", "--json"],
+    ["weights", "{}", "1,0"],
+    ["verdict", "{}"],
+    ["verdict", "{}", "--spherical", "--json"],
+]
+
+
+@pytest.mark.parametrize("query", LITERAL_QUERIES)
+def test_literal_output_equals_named_output(capsys, query):
+    def output(name):
+        assert run([a.format(name) for a in query]) == 0
+        return capsys.readouterr().out
+
+    assert output("A2 black= arrows=1:2") == output("su(2,1)")
+
+
+@pytest.mark.parametrize("query", LITERAL_QUERIES)
+def test_invalid_literal_exits_2_with_failures(capsys, query):
+    assert run([a.format("A2 black=1 arrows=1:2") for a in query]) == 2
+    assert "arrow touches black node" in capsys.readouterr().err
 
 
 def test_restricted_json(capsys):

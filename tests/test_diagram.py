@@ -45,6 +45,21 @@ class TestCreate:
         with pytest.raises(DiagramDataError):
             SatakeDiagram.create(["A2", "A3"])
 
+    @pytest.mark.parametrize(
+        "types, black, arrows, check",
+        [
+            (("A2",), {5}, (), "black node out of range"),
+            (("A2",), set(), ((0, 9),), "arrow endpoint out of range"),
+            (("A2",), set(), ((1, 1),), "arrow connects a node to itself"),
+            (("A2", "A3"), set(), (), "component types"),
+        ],
+    )
+    def test_direct_construction_checks(self, types, black, arrows, check):
+        # the constructor enforces what create does, so no path bypasses it
+        with pytest.raises(DiagramDataError) as exc:
+            SatakeDiagram(types, frozenset(black), arrows)
+        assert exc.value.failures[0][0] == check
+
     def test_equality_ignores_arrow_entry_order(self):
         a = SatakeDiagram.create(["A1", "A1"], arrows=[(0, 1)])
         b = SatakeDiagram.create(["A1", "A1"], arrows=[(1, 0)])

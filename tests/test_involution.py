@@ -7,7 +7,8 @@ from fractions import Fraction
 
 import pytest
 
-from satake.diagram import SatakeDiagram, parse_diagram
+from satake import involution, rootsys
+from satake.diagram import SatakeDiagram, parse_diagram, validate
 from satake.errors import DiagramDataError
 from satake.involution import (
     act_on_weight,
@@ -20,6 +21,7 @@ from satake.involution import (
     satake_automorphism,
 )
 from satake.rootsys import identity_matrix, longest_element, mat_mul, word_matrix
+from satake.verdict import real_structure_verdict
 
 
 def _theta_column(theta, j):
@@ -91,10 +93,43 @@ class TestCorrections:
         assert set(corr[3]) == {0, 1, 2}
         assert all(c >= 0 for c in corr[3].values())
 
-    def test_accepts_precomputed_matrix(self):
+
+class TestDerivedOnce:
+    def test_one_derivation_per_diagram(self, monkeypatch, full_catalog):
+        calls = {"longest_element": 0, "theta": 0}
+
+        def counted(key, fn):
+            def wrapper(*args):
+                calls[key] += 1
+                return fn(*args)
+
+            return wrapper
+
+        word = counted("longest_element", rootsys.longest_element)
+        monkeypatch.setattr(rootsys, "longest_element", word)
+        monkeypatch.setattr(involution, "longest_element", word)
+        # every lattice involution built is checked exactly once
+        monkeypatch.setattr(
+            involution, "involution_failures", counted("theta", involution.involution_failures)
+        )
+        for rec in full_catalog:
+            calls.update(longest_element=0, theta=0)
+            d = parse_diagram(rec.text)
+            validate(d)
+            satake_automorphism(d)
+            dual_cartan_involution(d)
+            black_corrections(d)
+            restricted_roots(d)
+            real_structure_verdict(d)
+            assert calls["longest_element"] <= 1, rec.name
+            assert calls["theta"] == 1, rec.name
+
+    def test_results_are_the_callers_own(self):
         d = parse_diagram("A3 black=1,3 arrows=")
-        theta = dual_cartan_involution(d)
-        assert black_corrections(d, theta) == black_corrections(d)
+        black_corrections(d)[1][0] = 99
+        restricted_roots(d).multiplicity.clear()
+        assert black_corrections(d) == {1: {0: 1, 2: 1}}
+        assert restricted_roots(d).multiplicity == {(1, 2, 1): 4}
 
 
 class TestAutomorphism:

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import enumerate_weyl, positive_roots_by_orbit
+from satake import rootsys
 from satake.rootsys import (
     SimpleType,
     _positive_roots_from_cartan,
@@ -43,6 +44,14 @@ def _sys(spec):
 
 
 class TestConstruction:
+    def test_rank_cap(self, monkeypatch):
+        # rejected before any root is generated
+        monkeypatch.setattr(rootsys, "_component_roots", None)
+        with pytest.raises(ValueError, match="cap"):
+            SimpleType("A", rootsys.MAX_RANK + 1)
+        with pytest.raises(ValueError, match="cap"):
+            build_root_system([f"B{rootsys.MAX_RANK + 1}"])
+
     def test_b2_cartan_convention(self):
         rs = _sys("B2")
         assert rs.cartan[0][1] == -1
