@@ -14,7 +14,7 @@ import signal
 import sys
 
 from . import __version__
-from .catalog import catalog, classification_to_json, classify, lookup
+from .catalog import RealFormRecord, catalog, classification_to_json, classify, lookup
 from .diagram import SatakeDiagram, format_diagram, parse_diagram, render_diagram, validate
 from .errors import DiagramDataError, DiagramParseError, UnknownRealFormError
 from .involution import (
@@ -52,10 +52,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("list", help="list the catalogued real forms")
 
-    p = sub.add_parser("show", help="details of one real form")
-    p.add_argument("name")
-
     name_help = "real form name, or a diagram literal like 'A3 black=1,3 arrows='"
+    p = sub.add_parser("show", help="details of one real form")
+    p.add_argument("name", help=name_help)
+
     p = sub.add_parser("epsilon", help="induced node involution")
     p.add_argument("diagram", help=name_help)
 
@@ -90,15 +90,19 @@ def _bold(text: str, on: bool) -> str:
     return f"\x1b[1m{text}\x1b[0m" if on else text
 
 
-def _resolve(args: argparse.Namespace, name: str) -> SatakeDiagram:
-    """A catalog name's diagram, or a diagram literal, which must validate."""
+def _resolve(
+    args: argparse.Namespace, name: str
+) -> tuple[RealFormRecord | None, SatakeDiagram]:
+    """A catalog name's record and diagram, or no record and a diagram
+    literal, which must validate."""
     if " black=" not in name:
-        return lookup(name, args.rank_bound).diagram
+        rec = lookup(name, args.rank_bound)
+        return rec, rec.diagram
     d = parse_diagram(name)
     report = validate(d)
     if not report.ok:
         raise DiagramDataError(report.failures)
-    return d
+    return None, d
 
 
 def _cmd_list(args: argparse.Namespace) -> int:
@@ -112,14 +116,14 @@ def _cmd_list(args: argparse.Namespace) -> int:
 
 def _cmd_show(args: argparse.Namespace) -> int:
     on = _use_color(args)
-    rec = lookup(args.name, args.rank_bound)
-    d = rec.diagram
+    rec, d = _resolve(args, args.name)
     perm = satake_automorphism(d)
     rr = restricted_roots(d)
-    print(f"{_bold('name:', on)} {rec.name}")
-    if len(rec.names) > 1:
-        print(f"{_bold('also known as:', on)} " + ", ".join(rec.names[1:]))
-    print(f"{_bold('diagram:', on)} {rec.text}")
+    if rec:
+        print(f"{_bold('name:', on)} {rec.name}")
+        if len(rec.names) > 1:
+            print(f"{_bold('also known as:', on)} " + ", ".join(rec.names[1:]))
+    print(f"{_bold('diagram:', on)} {format_diagram(d)}")
     print(render_diagram(d))
     print(f"{_bold('node involution:', on)} {permutation_cycles(perm)}")
     print(f"{_bold('identity involution:', on)} {'yes' if perm == tuple(range(d.n)) else 'no'}")
@@ -128,7 +132,8 @@ def _cmd_show(args: argparse.Namespace) -> int:
 
 
 def _cmd_epsilon(args: argparse.Namespace) -> int:
-    print(permutation_cycles(satake_automorphism(_resolve(args, args.diagram))))
+    _, d = _resolve(args, args.diagram)
+    print(permutation_cycles(satake_automorphism(d)))
     return 0
 
 
@@ -151,7 +156,8 @@ def _fraction_text(c: int) -> str:
 
 
 def _cmd_restricted(args: argparse.Namespace) -> int:
-    rr = restricted_roots(_resolve(args, args.name))
+    _, d = _resolve(args, args.name)
+    rr = restricted_roots(d)
     if args.json:
         print(restricted_to_json(rr))
         return 0
@@ -170,7 +176,7 @@ def _cmd_restricted(args: argparse.Namespace) -> int:
 
 
 def _cmd_weights(args: argparse.Namespace) -> int:
-    d = _resolve(args, args.name)
+    _, d = _resolve(args, args.name)
     try:
         coords = tuple(int(c) for c in args.coords.split(","))
     except ValueError:
@@ -181,7 +187,7 @@ def _cmd_weights(args: argparse.Namespace) -> int:
 
 
 def _cmd_verdict(args: argparse.Namespace) -> int:
-    d = _resolve(args, args.name)
+    _, d = _resolve(args, args.name)
     hyp = SubgroupHypotheses(
         spherical=args.spherical, self_normalizing=args.self_normalizing
     )

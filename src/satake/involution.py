@@ -27,8 +27,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import lcm
+from operator import add
 from typing import TYPE_CHECKING, Sequence
 
 from .errors import DiagramDataError
@@ -37,7 +38,6 @@ from .rootsys import (
     Matrix,
     RootSystem,
     SimpleType,
-    _apply,
     _connected_sets,
     apply_word,
     identify_cartan,
@@ -133,9 +133,14 @@ class _Derivation:
         n = self.n
         w0 = self._w0_black | {i: self._w0(i) for i in self.whites}
         # column j is -w0(alpha_perm(j))
-        theta = tuple(tuple(-w0[perm[j]][i] for j in range(n)) for i in range(n))
-        images = tuple(_apply(theta, r) for r in self.rs.positive_roots)
-        return (theta, images), involution_failures(self, theta, images)
+        cols = [tuple(-x for x in w0[perm[j]]) for j in range(n)]
+        theta = tuple(zip(*cols))
+        # by linearity, theta(r) = theta(r - alpha_i) + theta(alpha_i),
+        # and the predecessor r - alpha_i comes earlier in height order
+        images: list[Coords] = []
+        for p, i in zip(*self.rs._predecessors):
+            images.append(cols[i] if p < 0 else tuple(map(add, images[p], cols[i])))
+        return (theta, tuple(images)), involution_failures(self, theta, images)
 
     @cached_property
     def _corrections(self: "SatakeDiagram") -> dict[int, dict[int, int]]:
@@ -360,22 +365,36 @@ def base_coordinates(base: Sequence[Coords], vec: Coords) -> tuple[Fraction, ...
     image of a white node is its only base vector with that node in its
     support.  Each coefficient is read off there, then one integer check
     confirms the combination equals ``vec``.  Raises ValueError when a
-    base vector has no private coordinate or ``vec`` is not in the span.
+    base vector has no private coordinate, ``vec`` is not in the span,
+    or the lengths differ.
     """
-    support = [sum(1 for b in base if b[k]) for k in range(len(vec))]
-    coords: list[Fraction] = []
+    base = tuple(map(tuple, base))
+    if any(len(b) != len(vec) for b in base):
+        raise ValueError("base vectors and the vector differ in length")
+    coords = tuple(Fraction(vec[k], b[k]) for k, b in zip(_private_coordinates(base), base))
+    den = lcm(*(c.denominator for c in coords))
+    total = [0] * len(vec)
+    for c, b in zip(coords, base):
+        x = c.numerator * (den // c.denominator)
+        if x:
+            total = [t + x * y for t, y in zip(total, b)]
+    if total != [den * y for y in vec]:
+        raise ValueError("vector is not in the span of the base")
+    return coords
+
+
+# Bounded: a caller asks for many vectors against one base in a row.
+@lru_cache(maxsize=64)
+def _private_coordinates(base: tuple[Coords, ...]) -> tuple[int, ...]:
+    """Per base vector, the first coordinate where it alone of the base is nonzero."""
+    support = [sum(1 for x in col if x) for col in zip(*base)]
+    out: list[int] = []
     for b in base:
-        k = next((k for k in range(len(vec)) if b[k] and support[k] == 1), None)
+        k = next((k for k, x in enumerate(b) if x and support[k] == 1), None)
         if k is None:
             raise ValueError(f"base vector {b} has no private coordinate")
-        coords.append(Fraction(vec[k], b[k]))
-    den = lcm(*(c.denominator for c in coords))
-    scaled = [c.numerator * (den // c.denominator) for c in coords]
-    if any(
-        sum(x * b[k] for x, b in zip(scaled, base)) != den * vec[k] for k in range(len(vec))
-    ):
-        raise ValueError("vector is not in the span of the base")
-    return tuple(coords)
+        out.append(k)
+    return tuple(out)
 
 
 def act_on_weight(perm: Sequence[int], weight: Sequence[int]) -> Coords:
@@ -387,18 +406,46 @@ def act_on_weight(perm: Sequence[int], weight: Sequence[int]) -> Coords:
     return tuple(weight[perm[i]] for i in range(len(perm)))
 
 
-def _half(c: int) -> dict[str, int]:
-    return {"num": c // 2, "den": 1} if c % 2 == 0 else {"num": c, "den": 2}
+@lru_cache(maxsize=64)
+def _half_json(c: int, level: int) -> str:
+    """The JSON object of ``c / 2`` in lowest terms, indented ``level`` deep."""
+    num, den = (c // 2, 1) if c % 2 == 0 else (c, 2)
+    outer = "  " * level
+    inner = outer + "  "
+    return f'{outer}{{\n{inner}"num": {num},\n{inner}"den": {den}\n{outer}}}'
+
+
+def _json_list(items: list[str], level: int) -> str:
+    """A JSON list at nesting ``level`` whose items are already indented."""
+    if not items:
+        return "[]"
+    return "[\n" + ",\n".join(items) + "\n" + "  " * level + "]"
+
+
+def _coords_json(v: Coords, level: int) -> str:
+    return _json_list([_half_json(c, level + 1) for c in v], level)
 
 
 def restricted_to_json(rr: RestrictedRoots) -> str:
-    """JSON of the restricted data, with exact rational coordinates."""
-    payload = {
-        "type": rr.label,
-        "base": [[_half(c) for c in v] for v in rr.base],
-        "positive": [
-            {"root": [_half(c) for c in v], "multiplicity": rr.multiplicity[v]}
+    """JSON of the restricted data, with exact rational coordinates.
+
+    The text is exactly ``json.dumps(payload, indent=2)`` of
+    ``{"type": label, "base": [...], "positive": [{"root": [...],
+    "multiplicity": m}, ...]}``, each coordinate ``c / 2`` written as
+    ``{"num": ..., "den": ...}`` in lowest terms.  It is built here
+    directly because CPython's ``json`` indents only in its pure-Python
+    encoder, which took most of a derivation's time.
+    """
+    base = _json_list(["    " + _coords_json(v, 2) for v in rr.base], 1)
+    positive = _json_list(
+        [
+            '    {\n      "root": ' + _coords_json(v, 3)
+            + ',\n      "multiplicity": ' + str(rr.multiplicity[v]) + "\n    }"
             for v in rr.positive
         ],
-    }
-    return json.dumps(payload, indent=2)
+        1,
+    )
+    return (
+        '{\n  "type": ' + json.dumps(rr.label)
+        + ',\n  "base": ' + base + ',\n  "positive": ' + positive + "\n}"
+    )

@@ -196,6 +196,35 @@ class RootSystem:
     def positive_root_set(self) -> frozenset[Coords]:
         return frozenset(self.positive_roots)
 
+    @cached_property
+    def _predecessors(self) -> tuple[Coords, Coords]:
+        """Parallel tuples ``(p, i)``: positive root ``k`` is ``alpha_{i[k]}``
+        if ``p[k]`` is -1, and ``positive_roots[p[k]] + alpha_{i[k]}`` otherwise.
+
+        Every positive root of height above one is a positive root plus a
+        simple root, and ``p[k] < k``, so a linear map's images of all
+        positive roots follow from its images of the simple roots in one
+        pass.  Two tuples of small ints rather than a tuple of pairs: the
+        table lives as long as the cached system, for every type in use.
+        """
+        index = {r: k for k, r in enumerate(self.positive_roots)}
+        preds: list[int] = []
+        nodes: list[int] = []
+        for r in self.positive_roots:
+            if sum(r) == 1:
+                preds.append(-1)
+                nodes.append(r.index(1))
+                continue
+            for i, x in enumerate(r):
+                p = index.get(r[:i] + (x - 1,) + r[i + 1 :]) if x else None
+                if p is not None:
+                    preds.append(p)
+                    nodes.append(i)
+                    break
+            else:
+                raise RuntimeError(f"positive root {r} has no positive predecessor")
+        return tuple(preds), tuple(nodes)
+
     def is_root(self, v: Sequence[int]) -> bool:
         t = tuple(v)
         return t in self.positive_root_set or tuple(-x for x in t) in self.positive_root_set
@@ -313,11 +342,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return tuple(
         tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)) for i in range(n)
     )
-
-
-def _apply(m: Matrix, v: Sequence[int]) -> Coords:
-    n = len(m)
-    return tuple(sum(m[i][j] * v[j] for j in range(n)) for i in range(n))
 
 
 def longest_element(rs: RootSystem, nodes: Iterable[int]) -> tuple[int, ...]:

@@ -123,7 +123,28 @@ def test_literal_output_equals_named_output(capsys, query):
     assert output("A2 black= arrows=1:2") == output("su(2,1)")
 
 
-@pytest.mark.parametrize("query", LITERAL_QUERIES)
+def test_show_literal_omits_only_the_names(capsys):
+    assert run(["show", "A2 black= arrows=1:2"]) == 0
+    literal = capsys.readouterr().out
+    assert run(["show", "su(2,1)"]) == 0
+    named = capsys.readouterr().out.splitlines(keepends=True)
+    assert named[0] == "name: su(2,1)\n"
+    assert literal == "".join(
+        line for line in named if not line.startswith(("name:", "also known as:"))
+    )
+
+
+def test_show_literal_prints_canonical_text(capsys):
+    assert run(["show", "A3 black=3,1 arrows="]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("diagram: A3 black=1,3 arrows=\n")
+    assert "identity involution: yes" in out
+    assert "restricted type: A1" in out
+    assert run(["show", "A3  black=1,3 arrows="]) == 2
+    assert "position" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("query", LITERAL_QUERIES + [["show", "{}"]])
 def test_invalid_literal_exits_2_with_failures(capsys, query):
     assert run([a.format("A2 black=1 arrows=1:2") for a in query]) == 2
     assert "arrow touches black node" in capsys.readouterr().err

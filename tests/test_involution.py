@@ -195,8 +195,21 @@ class TestRestricted:
             assert all(c.denominator == 1 and c >= 0 for c in coords)
 
     def test_base_coordinates_rejects_outside_span(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="not in the span"):
             base_coordinates(((2, 0),), (0, 1))
+        # the coefficients read off the private coordinates 0 and 2 do
+        # not rebuild the middle coordinate
+        with pytest.raises(ValueError, match="not in the span"):
+            base_coordinates(((1, 1, 0), (0, 1, 1)), (1, 0, 1))
+
+    def test_base_coordinates_needs_private_coordinates(self):
+        with pytest.raises(ValueError, match="no private coordinate"):
+            base_coordinates(((1, 0), (1, 1)), (1, 1))
+
+    @pytest.mark.parametrize("base,vec", [(((1, 0, 0),), (1,)), (((0, 1),), (1,))])
+    def test_base_coordinates_rejects_length_mismatch(self, base, vec):
+        with pytest.raises(ValueError, match="differ in length"):
+            base_coordinates(base, vec)
 
     def test_base_coordinates_exact_fractions(self):
         coords = base_coordinates(((2, 0), (0, 3)), (1, 1))
@@ -220,6 +233,62 @@ class TestRestricted:
             1 for r in rs.positive_roots if all(r[k] == 0 for k in d.whites)
         )
         assert sum(rr.multiplicity.values()) == len(rs.positive_roots) - painted
+
+
+def _stdlib_json(rr) -> str:
+    """The restricted JSON through the stdlib encoder, the reference text."""
+
+    def half(c):
+        return {"num": c // 2, "den": 1} if c % 2 == 0 else {"num": c, "den": 2}
+
+    payload = {
+        "type": rr.label,
+        "base": [[half(c) for c in v] for v in rr.base],
+        "positive": [
+            {"root": [half(c) for c in v], "multiplicity": rr.multiplicity[v]}
+            for v in rr.positive
+        ],
+    }
+    return json.dumps(payload, indent=2)
+
+
+class TestJsonEqualsStdlibEncoder:
+    def test_catalog(self, full_catalog):
+        for rec in full_catalog:
+            rr = restricted_roots(rec.diagram)
+            assert restricted_to_json(rr) == _stdlib_json(rr), rec.name
+
+    @pytest.mark.parametrize(
+        "text", ["A3 black=1,2,3 arrows=", "A2 black= arrows=1:2", "E6 black=3,4,5 arrows=1:6"]
+    )
+    def test_compact_and_bc_forms(self, text):
+        rr = restricted_roots(parse_diagram(text))
+        assert restricted_to_json(rr) == _stdlib_json(rr)
+
+    def test_seeded_sample(self, random_diagrams_500):
+        for d in random_diagrams_500:
+            rr = restricted_roots(d)
+            assert restricted_to_json(rr) == _stdlib_json(rr), d
+
+    def test_values_outside_any_diagram(self):
+        rr = involution.RestrictedRoots(
+            base=((-3, 40), (0, 1)),
+            positive=((7, -2),),
+            multiplicity={(7, -2): 12},
+            label="Ü",
+        )
+        assert restricted_to_json(rr) == _stdlib_json(rr)
+
+
+def test_root_images_equal_dense_product(full_catalog):
+    for rec in full_catalog:
+        d = parse_diagram(rec.text)
+        (theta, images), _ = d._theta
+        dense = tuple(
+            tuple(sum(row[j] * r[j] for j in range(d.n)) for row in theta)
+            for r in d.rs.positive_roots
+        )
+        assert images == dense, rec.name
 
 
 class TestWeights:

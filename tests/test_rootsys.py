@@ -160,6 +160,20 @@ class TestPositiveRoots:
         rs = build_root_system(types)
         assert rs.positive_roots == _positive_roots_from_cartan(rs.cartan)
 
+    @pytest.mark.parametrize(
+        "types", [[t] for t in ALL_SIMPLE] + [[t, t] for t in ALL_SIMPLE], ids="x".join
+    )
+    def test_predecessor_table(self, types):
+        rs = build_root_system(types)
+        preds, nodes = rs._predecessors
+        assert len(preds) == len(nodes) == len(rs.positive_roots)
+        for k, (r, p, i) in enumerate(zip(rs.positive_roots, preds, nodes)):
+            if p == -1:
+                assert r == rs.simple_root(i)
+            else:
+                assert 0 <= p < k
+                assert tuple(a + b for a, b in zip(rs.positive_roots[p], rs.simple_root(i))) == r
+
     def test_is_root(self):
         rs = _sys("A2")
         assert rs.is_root((1, 1))
