@@ -23,7 +23,7 @@ from functools import cached_property, lru_cache
 from .diagram import SatakeDiagram, parse_diagram
 from .errors import UnknownRealFormError
 from .involution import permutation_cycles, satake_automorphism
-from .rootsys import MAX_RANK
+from .rootsys import _FAMILIES, MAX_RANK, _rank_ok
 
 Entry = tuple[tuple[str, ...], str]
 
@@ -180,16 +180,7 @@ def _doubled_entries(bound: int) -> list[Entry]:
             return f"so({2 * r},C)"
         return f"{family.lower()}{r}(C)"
 
-    types: list[tuple[str, int]] = []
-    types += [("A", r) for r in range(1, bound + 1)]
-    types += [("B", r) for r in range(2, bound + 1)]
-    types += [("C", r) for r in range(2, bound + 1)]
-    types += [("D", r) for r in range(3, bound + 1)]
-    types += [("E", r) for r in (6, 7, 8) if r <= bound]
-    if bound >= 4:
-        types.append(("F", 4))
-    if bound >= 2:
-        types.append(("G", 2))
+    types = [(f, r) for f in _FAMILIES for r in range(1, bound + 1) if _rank_ok(f, r)]
 
     out: list[Entry] = []
     for family, r in types:

@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 from .errors import DiagramDataError, DiagramParseError
 from .involution import _Derivation, dual_cartan_involution
-from .rootsys import RootSystem, SimpleType, build_root_system
+from .rootsys import _E_SPINE, RootSystem, SimpleType, build_root_system
 
 
 @dataclass(frozen=True)
@@ -207,8 +207,7 @@ def _render_component(d: SatakeDiagram, t: SimpleType, start: int) -> list[str]:
         branch = nodes[-1]
         branch_at = len(chain) - 2
     elif t.family == "E":
-        spine = [0, 2, 3, 4, 5, 6, 7][: t.rank - 1]
-        chain = [start + k for k in spine]
+        chain = [start + k for k in _E_SPINE[: t.rank - 1]]
         branch = start + 1
         branch_at = 2
     else:

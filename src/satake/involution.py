@@ -326,14 +326,11 @@ def _restricted_label(
     if any(gram[i][i] <= 0 for i in range(r)):
         return None
     rows = []
-    for i in range(r):
-        row = []
-        for j in range(r):
-            q = Fraction(2 * gram[i][j], gram[i][i])
-            if q.denominator != 1 or (i != j and q > 0):
-                return None
-            row.append(int(q))
-        rows.append(tuple(row))
+    for i, g in enumerate(gram):
+        qr = [divmod(2 * x, g[i]) for x in g]
+        if any(rem or (i != j and q > 0) for j, (q, rem) in enumerate(qr)):
+            return None
+        rows.append(tuple(q for q, _ in qr))
     cartan = tuple(rows)
     non_reduced = any(tuple(2 * x for x in s) in positive for s in positive)
     labels: list[SimpleType] = []

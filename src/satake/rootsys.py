@@ -29,6 +29,9 @@ Matrix = tuple[tuple[int, ...], ...]
 
 _FAMILIES = "ABCDEFG"
 
+# Bourbaki E_n: the spine is nodes 1, 3, 4, ..., n; node 2 hangs off node 4.
+_E_SPINE = (0, 2, 3, 4, 5, 6, 7)
+
 # Largest rank of one simple component.  Root generation grows about as
 # the fourth power of the rank; the split B32, C32 and D32 each build and
 # derive in about 0.5 s (Python 3.11, 2 vCPUs), so any type under the cap
@@ -107,7 +110,7 @@ def _cartan_block(t: SimpleType) -> list[list[int]]:
             bond(i, i + 1)
         bond(n - 3, n - 1)
     elif t.family == "E":
-        spine = [0, 2, 3, 4, 5, 6, 7][: n - 1]
+        spine = _E_SPINE[: n - 1]
         for u, v in zip(spine, spine[1:]):
             bond(u, v)
         bond(1, 3)
@@ -449,72 +452,74 @@ def subdiagram_cartan(rs: RootSystem, nodes: Sequence[int]) -> Matrix:
     return tuple(tuple(rs.cartan[i][j] for j in nodes) for i in nodes)
 
 
-def _row_signature(m: Matrix, i: int) -> tuple:
-    return tuple(sorted((m[i][j], m[j][i]) for j in range(len(m)) if j != i and m[i][j] != 0))
+def _shape(cartan: Sequence[Sequence[int]]) -> tuple | None:
+    """Canonical form of a Dynkin-like diagram, or None.
+
+    Accepts a square matrix with 2 on the diagonal, a symmetric zero
+    pattern and a connected tree diagram with at most one branch node,
+    as every Dynkin diagram is.  Returns the sorted tuple of its arms,
+    each the bonds ``(a_uv, a_vu)`` read outward from the branch node; a
+    path is read from both ends and the smaller reading kept.  Two
+    accepted matrices have equal shapes exactly when one relabels the
+    other.
+    """
+    n = len(cartan)
+    if any(len(row) != n or row[i] != 2 for i, row in enumerate(cartan)):
+        return None
+    nbrs = [[j for j, x in enumerate(row) if x and j != i] for i, row in enumerate(cartan)]
+    if sum(map(len, nbrs)) != 2 * (n - 1) or any(
+        not cartan[j][i] for i in range(n) for j in nbrs[i]
+    ):
+        return None
+    # With n - 1 edges, reaching every node along the arms below makes the
+    # diagram a tree, and one whose only branch node is the root.
+    branches = [i for i in range(n) if len(nbrs[i]) > 2]
+    root = branches[0] if branches else next(i for i in range(n) if len(nbrs[i]) < 2)
+    seen = {root}
+    arms = []
+    for v in nbrs[root]:
+        u, bonds = root, []
+        while v not in seen:
+            seen.add(v)
+            bonds.append((cartan[u][v], cartan[v][u]))
+            onward = [w for w in nbrs[v] if w != u]
+            if not onward:
+                break
+            u, v = v, onward[0]
+        arms.append(tuple(bonds))
+    if len(seen) != n:
+        return None
+    if len(arms) == 1:
+        arms = [min(arms[0], tuple((b, a) for a, b in reversed(arms[0])))]
+    return tuple(sorted(arms))
 
 
-def _permutation_equivalent(a: Matrix, b: Matrix) -> bool:
-    n = len(a)
-    if len(b) != n:
-        return False
-    sig_a = [_row_signature(a, i) for i in range(n)]
-    sig_b = [_row_signature(b, i) for i in range(n)]
-    if sorted(sig_a) != sorted(sig_b):
-        return False
-    assignment = [-1] * n
-    used = [False] * n
-
-    def consistent(i: int, cand: int) -> bool:
-        if sig_a[i] != sig_b[cand]:
-            return False
-        for j in range(n):
-            if assignment[j] >= 0:
-                if a[i][j] != b[cand][assignment[j]] or a[j][i] != b[assignment[j]][cand]:
-                    return False
-        return True
-
-    def backtrack(i: int) -> bool:
-        if i == n:
-            return True
-        for cand in range(n):
-            if not used[cand] and consistent(i, cand):
-                assignment[i] = cand
-                used[cand] = True
-                if backtrack(i + 1):
-                    return True
-                assignment[i] = -1
-                used[cand] = False
-        return False
-
-    return backtrack(0)
+@lru_cache(maxsize=None)
+def _types_by_shape(n: int) -> dict[tuple, SimpleType]:
+    """The simple types of rank ``n`` keyed by shape; an alias keeps the
+    earliest family in A..G order."""
+    out: dict[tuple, SimpleType] = {}
+    for f in _FAMILIES:
+        if _rank_ok(f, n):
+            t = SimpleType(f, n)
+            out.setdefault(_shape(_cartan_block(t)), t)
+    return out
 
 
 def identify_cartan(cartan: Matrix) -> SimpleType:
     """Identify the simple type of a connected Cartan matrix up to relabeling.
 
-    Aliases resolve to the earliest family in A..G order: the rank-2
-    double-bond matrix reports as B2 (never C2) and the rank-3 fork as
-    A3 (never D3).  Raises ValueError when nothing matches.
+    The matrix's ``_shape`` is looked up among those of the Bourbaki
+    blocks of its rank.  Aliases resolve to the earliest family in A..G
+    order: the rank-2 double-bond matrix reports as B2 (never C2) and the
+    rank-3 fork as A3 (never D3).  Raises ValueError when nothing
+    matches, including any matrix above ``MAX_RANK``.
     """
     n = len(cartan)
-    if n == 0:
-        raise ValueError("empty Cartan matrix")
-    candidates = [SimpleType("A", n)]
-    if n >= 2:
-        candidates += [SimpleType("B", n), SimpleType("C", n)]
-    if n >= 4:
-        candidates.append(SimpleType("D", n))
-    if n in (6, 7, 8):
-        candidates.append(SimpleType("E", n))
-    if n == 4:
-        candidates.append(SimpleType("F", 4))
-    if n == 2:
-        candidates.append(SimpleType("G", 2))
-    for t in candidates:
-        target = tuple(tuple(row) for row in _cartan_block(t))
-        if _permutation_equivalent(cartan, target):
-            return t
-    raise ValueError("Cartan matrix does not match a simple type")
+    t = _types_by_shape(n).get(_shape(cartan)) if n <= MAX_RANK else None
+    if t is None:
+        raise ValueError("Cartan matrix does not match a simple type")
+    return t
 
 
 def longest_negation_nontrivial(t: SimpleType) -> bool:

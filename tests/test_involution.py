@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 from fractions import Fraction
 
 import pytest
 
 from satake import involution, rootsys
-from satake.diagram import SatakeDiagram, parse_diagram, validate
+from satake.diagram import SatakeDiagram, format_diagram, parse_diagram, validate
 from satake.errors import DiagramDataError
 from satake.involution import (
     act_on_weight,
@@ -233,6 +234,16 @@ class TestRestricted:
             1 for r in rs.positive_roots if all(r[k] == 0 for k in d.whites)
         )
         assert sum(rr.multiplicity.values()) == len(rs.positive_roots) - painted
+
+    def test_labels_of_seeded_samples_match_golden(self, random_diagrams_1000, random_diagrams_500):
+        # The catalog's labels are pinned by test_output_digests.py; this
+        # pins those of 1,500 seeded sample diagrams.
+        h = hashlib.sha256()
+        for d in random_diagrams_1000 + random_diagrams_500:
+            h.update(f"{format_diagram(d)}\t{restricted_roots(d).label}\n".encode())
+        assert h.hexdigest() == (
+            "19318eeddc39d7be6c924c56afc7be9a0775d1671b637283b2ea5a184c15fdd6"
+        )
 
 
 def _stdlib_json(rr) -> str:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -282,10 +283,63 @@ class TestIdentifyCartan:
         assert got == want
 
     def test_rejects_non_cartan(self):
+        affine_d5 = [[2 if i == j else 0 for j in range(6)] for i in range(6)]
+        for u, v in ((0, 2), (1, 2), (2, 3), (3, 4), (3, 5)):
+            affine_d5[u][v] = affine_d5[v][u] = -1
         with pytest.raises(ValueError):
             identify_cartan(((2, -1), (-4, 2)))
-        with pytest.raises(ValueError):
-            identify_cartan(())
+        # None of these is a square tree diagram with 2 on the diagonal.
+        for m in (
+            (),
+            ((3,),),
+            ((0,),),
+            ((2, -1),),
+            ((2, -1, 0), (-1, 2)),
+            ((5, -1), (-1, 5)),
+            ((2, -1, -1), (0, 2, -1), (-1, 0, 2)),
+            ((2, -1, -1), (-1, 2, -1), (-1, -1, 2)),
+            ((2, 0), (0, 2)),
+            tuple(map(tuple, affine_d5)),
+        ):
+            assert rootsys._shape(m) is None
+            with pytest.raises(ValueError):
+                identify_cartan(m)
+
+    def test_agrees_with_permutation_search(self):
+        # The search: every relabelling of every Bourbaki block of rank <= 5,
+        # families in A..G order, so an alias keeps the earlier family.
+        found: dict = {}
+        for n in range(1, 6):
+            for f in rootsys._FAMILIES:
+                if rootsys._rank_ok(f, n):
+                    block = rootsys._cartan_block(SimpleType(f, n))
+                    for p in itertools.permutations(range(n)):
+                        m = tuple(tuple(block[p[i]][p[j]] for j in range(n)) for i in range(n))
+                        found.setdefault(m, SimpleType(f, n))
+        rng = random.Random(5261)
+        matched = 0
+        for k in range(2000):
+            n = rng.randint(1, 5)
+            if k % 2:
+                f = rng.choice([f for f in rootsys._FAMILIES if rootsys._rank_ok(f, n)])
+                block = rootsys._cartan_block(SimpleType(f, n))
+                order = rng.sample(range(n), n)
+                m = [[block[i][j] for j in order] for i in order]
+                for _ in range(rng.randint(0, 2)):
+                    m[rng.randrange(n)][rng.randrange(n)] = rng.randint(-3, 2)
+            else:
+                m = [[rng.randint(-3, 0) for _ in range(n)] for _ in range(n)]
+                for i in range(n):
+                    m[i][i] = 2 if rng.random() < 0.9 else rng.randint(-3, 3)
+            m = tuple(map(tuple, m))
+            want = found.get(m)
+            if want is None:
+                with pytest.raises(ValueError):
+                    identify_cartan(m)
+            else:
+                assert identify_cartan(m) == want
+                matched += 1
+        assert 500 < matched < 1500
 
 
 @st.composite
