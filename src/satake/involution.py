@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import lcm
-from operator import add
+from operator import add, mul, neg, sub
 from typing import TYPE_CHECKING, Sequence
 
 from .errors import DiagramDataError
@@ -39,6 +39,7 @@ from .rootsys import (
     RootSystem,
     SimpleType,
     _connected_sets,
+    _supported,
     apply_word,
     identify_cartan,
     identity_matrix,
@@ -133,7 +134,7 @@ class _Derivation:
         n = self.n
         w0 = self._w0_black | {i: self._w0(i) for i in self.whites}
         # column j is -w0(alpha_perm(j))
-        cols = [tuple(-x for x in w0[perm[j]]) for j in range(n)]
+        cols = [tuple(map(neg, w0[perm[j]])) for j in range(n)]
         theta = tuple(zip(*cols))
         # by linearity, theta(r) = theta(r - alpha_i) + theta(alpha_i),
         # and the predecessor r - alpha_i comes earlier in height order
@@ -157,13 +158,14 @@ class _Derivation:
         rs = self.rs
         mult: dict[Coords, int] = {}
         for r, img in zip(rs.positive_roots, images):
-            s = tuple(a - b for a, b in zip(r, img))
+            s = tuple(map(sub, r, img))
             if any(s):
                 mult[s] = mult.get(s, 0) + 1
         positive = tuple(sorted(mult, key=lambda v: (sum(v), v)))
         base: list[Coords] = []
+        cols = tuple(zip(*theta))
         for i in self.whites:
-            col = tuple(rs.simple_root(i)[k] - theta[k][i] for k in range(self.n))
+            col = tuple(map(sub, rs.simple_root(i), cols[i]))
             if col not in base:
                 base.append(col)
         label = _restricted_label(rs, tuple(base), frozenset(positive))
@@ -234,16 +236,16 @@ def involution_failures(
     fails: list[tuple[str, str]] = []
     if mat_mul(theta, theta) != identity_matrix(n):
         fails.append(("involution-squared", "the lattice map does not square to the identity"))
+    cols = tuple(zip(*theta))
     for j in sorted(d.black):
-        col = tuple(theta[i][j] for i in range(n))
-        if col != rs.simple_root(j):
+        if cols[j] != rs.simple_root(j):
             fails.append(("involution-fixes-black", f"black simple root {j + 1} moves"))
     pos = rs.positive_root_set
-    for r, img in zip(rs.positive_roots, images):
-        neg = tuple(-x for x in img)
-        if img not in pos and neg not in pos:
+    for r, img, compact in zip(rs.positive_roots, images, _supported(rs, d.black)):
+        minus = tuple(map(neg, img))
+        if img not in pos and minus not in pos:
             fails.append(("involution-roots", f"image of root {r} is not a root"))
-        elif any(r[i] for i in d.whites) and neg not in pos:
+        elif not compact and minus not in pos:
             fails.append(
                 ("involution-swaps-noncompact", f"white-supported root {r} has a positive image")
             )
@@ -366,32 +368,35 @@ def base_coordinates(base: Sequence[Coords], vec: Coords) -> tuple[Fraction, ...
     or the lengths differ.
     """
     base = tuple(map(tuple, base))
-    if any(len(b) != len(vec) for b in base):
-        raise ValueError("base vectors and the vector differ in length")
-    coords = tuple(Fraction(vec[k], b[k]) for k, b in zip(_private_coordinates(base), base))
-    den = lcm(*(c.denominator for c in coords))
-    total = [0] * len(vec)
-    for c, b in zip(coords, base):
-        x = c.numerator * (den // c.denominator)
-        if x:
-            total = [t + x * y for t, y in zip(total, b)]
-    if total != [den * y for y in vec]:
+    private, scale, den, columns = _base_data(base, len(vec))
+    xs = [c * vec[k] for k, c in zip(private, scale)]
+    if [sum(map(mul, xs, col)) for col in columns] != [den * y for y in vec]:
         raise ValueError("vector is not in the span of the base")
-    return coords
+    return tuple(_fraction(x, den) for x in xs)
 
 
 # Bounded: a caller asks for many vectors against one base in a row.
 @lru_cache(maxsize=64)
-def _private_coordinates(base: tuple[Coords, ...]) -> tuple[int, ...]:
-    """Per base vector, the first coordinate where it alone of the base is nonzero."""
-    support = [sum(1 for x in col if x) for col in zip(*base)]
-    out: list[int] = []
+def _base_data(base: tuple[Coords, ...], n: int) -> tuple[Coords, Coords, int, Matrix]:
+    """Per base vector, its private coordinate (the first where it alone
+    of the base is nonzero) and ``den // entry`` there, for ``den`` the
+    lcm of those entries; then ``den`` and the base's ``n`` columns."""
+    if any(len(b) != n for b in base):
+        raise ValueError("base vectors and the vector differ in length")
+    columns = tuple(tuple(b[k] for b in base) for k in range(n))
+    support = [sum(1 for x in col if x) for col in columns]
+    private: list[int] = []
     for b in base:
         k = next((k for k, x in enumerate(b) if x and support[k] == 1), None)
         if k is None:
             raise ValueError(f"base vector {b} has no private coordinate")
-        out.append(k)
-    return tuple(out)
+        private.append(k)
+    den = lcm(*(b[k] for k, b in zip(private, base)))
+    return tuple(private), tuple(den // b[k] for k, b in zip(private, base)), den, columns
+
+
+# Immutable and shared: restricted coordinates are a few small rationals.
+_fraction = lru_cache(maxsize=256)(Fraction)
 
 
 def act_on_weight(perm: Sequence[int], weight: Sequence[int]) -> Coords:

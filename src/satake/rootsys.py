@@ -22,6 +22,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from operator import mul
 from typing import Iterable, Sequence
 
 Coords = tuple[int, ...]
@@ -179,7 +180,7 @@ class RootSystem:
     symmetrizer: Coords
     positive_roots: tuple[Coords, ...]
 
-    @property
+    @cached_property
     def n(self) -> int:
         return len(self.cartan)
 
@@ -192,8 +193,8 @@ class RootSystem:
 
     def pairing(self, v: Sequence[int], i: int) -> int:
         """``<v, alpha_i^vee>`` for ``v`` in simple-root coordinates."""
-        row = self.cartan[i]
-        return sum(row[j] * v[j] for j in range(self.n))
+        _check_vector(self, v)
+        return sum(map(mul, self.cartan[i], v))
 
     @cached_property
     def positive_root_set(self) -> frozenset[Coords]:
@@ -241,14 +242,16 @@ class RootSystem:
             start += t.rank
         return tuple(out)
 
+    @cached_property
+    def _form(self) -> Matrix:
+        """Gram matrix of ``bilinear`` on the simple roots: ``d_i a_ij``."""
+        return tuple(tuple(d * x for x in row) for d, row in zip(self.symmetrizer, self.cartan))
+
     def bilinear(self, v: Sequence[int], w: Sequence[int]) -> int:
         """Invariant symmetric form with ``B(alpha_i, alpha_j) = d_i a_ij``."""
-        total = 0
-        for i in range(self.n):
-            if v[i]:
-                row = self.cartan[i]
-                total += v[i] * self.symmetrizer[i] * sum(row[j] * w[j] for j in range(self.n))
-        return total
+        _check_vector(self, v)
+        _check_vector(self, w)
+        return sum([x * sum(map(mul, row, w)) for x, row in zip(v, self._form) if x])
 
 
 def build_root_system(types: Sequence[SimpleType | str]) -> RootSystem:
@@ -308,10 +311,8 @@ def _check_vector(rs: RootSystem, v: Sequence[int]) -> None:
 def reflect_simple(rs: RootSystem, i: int, v: Sequence[int]) -> Coords:
     """Apply the simple reflection ``s_i``; only coordinate ``i`` changes."""
     _check_node(rs, i)
-    _check_vector(rs, v)
-    c = rs.pairing(v, i)
     out = list(v)
-    out[i] -= c
+    out[i] -= rs.pairing(v, i)
     return tuple(out)
 
 
@@ -320,14 +321,10 @@ def apply_word(rs: RootSystem, word: Sequence[int], v: Sequence[int]) -> Coords:
     _check_vector(rs, v)
     for i in word:
         _check_node(rs, i)
-    out = tuple(v)
+    out = list(v)
     for i in reversed(word):
-        c = rs.pairing(out, i)
-        if c:
-            tmp = list(out)
-            tmp[i] -= c
-            out = tuple(tmp)
-    return out
+        out[i] -= rs.pairing(out, i)
+    return tuple(out)
 
 
 def word_matrix(rs: RootSystem, word: Sequence[int]) -> Matrix:
@@ -341,10 +338,18 @@ def identity_matrix(n: int) -> Matrix:
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)) for i in range(n)
-    )
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
+
+
+def _supported(rs: RootSystem, nodes: Iterable[int]) -> list[bool]:
+    """Per positive root, whether its support lies in ``nodes``: root ``k``
+    does when node ``i[k]`` and its predecessor ``p[k]`` (if any) do."""
+    nodes = set(nodes)
+    out: list[bool] = []
+    for p, i in zip(*rs._predecessors):
+        out.append(i in nodes and (p < 0 or out[p]))
+    return out
 
 
 def longest_element(rs: RootSystem, nodes: Iterable[int]) -> tuple[int, ...]:
@@ -361,14 +366,8 @@ def longest_element(rs: RootSystem, nodes: Iterable[int]) -> tuple[int, ...]:
     subset = sorted(set(nodes))
     for i in subset:
         _check_node(rs, i)
-    allowed = set(subset)
-    supported = [
-        r for r in rs.positive_roots if all(k in allowed or r[k] == 0 for k in range(rs.n))
-    ]
-    v = [0] * rs.n
-    for r in supported:
-        for k in range(rs.n):
-            v[k] += r[k]
+    supported = [r for r, on in zip(rs.positive_roots, _supported(rs, subset)) if on]
+    v = list(map(sum, zip(*supported))) or [0] * rs.n
     letters: list[int] = []
     while True:
         for i in subset:

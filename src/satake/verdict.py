@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import TYPE_CHECKING
 
 from .involution import satake_automorphism
@@ -111,6 +112,12 @@ def real_structure_verdict(
 
 
 def verdict_to_json(v: StructureVerdict) -> str:
+    return _verdict_json(v)
+
+
+# The decision table yields four verdicts, and the text is immutable.
+@lru_cache(maxsize=16)
+def _verdict_json(v: StructureVerdict) -> str:
     payload = {
         "subgroup_conjugacy": v.subgroup_conjugacy,
         "equivariant_map_exists": v.equivariant_map_exists,

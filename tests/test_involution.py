@@ -216,6 +216,24 @@ class TestRestricted:
         coords = base_coordinates(((2, 0), (0, 3)), (1, 1))
         assert coords == (Fraction(1, 2), Fraction(1, 3))
 
+    def test_base_coordinates_empty_base(self):
+        # an empty base has no columns, and still only zero is in its span
+        assert base_coordinates((), (0, 0, 0)) == ()
+        with pytest.raises(ValueError, match="not in the span"):
+            base_coordinates((), (0, 1, 0))
+
+    def test_base_coordinates_half_integers(self):
+        base = ((2, 0, 1), (0, 2, 1))
+        assert base_coordinates(base, (1, 1, 1)) == (Fraction(1, 2), Fraction(1, 2))
+        assert base_coordinates(base, (2, 4, 3)) == (1, 2)
+        with pytest.raises(ValueError, match="not in the span"):
+            base_coordinates(base, (1, 1, 2))
+
+    def test_base_coordinates_negative_private_entry(self):
+        base = ((-2, 0), (0, 3))
+        assert base_coordinates(base, (1, 1)) == (Fraction(-1, 2), Fraction(1, 3))
+        assert base_coordinates(base, (4, -6)) == (-2, -2)
+
     def test_json_shape(self):
         rr = restricted_roots(parse_diagram("A2 black= arrows=1:2"))
         payload = json.loads(restricted_to_json(rr))
@@ -315,3 +333,18 @@ class TestWeights:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             act_on_weight((1, 0), (1, 0, 0))
+
+
+def test_base_coordinates_against_read_offs(full_catalog, random_diagrams_500):
+    # Each coefficient is read at its base vector's private coordinate,
+    # found by scanning; every restricted root lies in the span.
+    for d in [rec.diagram for rec in full_catalog] + random_diagrams_500[:100]:
+        rr = restricted_roots(d)
+        n = len(rr.base[0]) if rr.base else 0
+        private = [
+            next(k for k in range(n) if b[k] and sum(1 for o in rr.base if o[k]) == 1)
+            for b in rr.base
+        ]
+        for v in rr.positive:
+            want = tuple(Fraction(v[k], b[k]) for k, b in zip(private, rr.base))
+            assert base_coordinates(rr.base, v) == want, format_diagram(d)

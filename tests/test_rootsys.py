@@ -401,3 +401,71 @@ def test_vector_length_checked():
         reflect_simple(rs, 0, (1, 0, 0))
     with pytest.raises(IndexError):
         reflect_simple(rs, 5, (1, 0))
+
+
+class TestLengthContract:
+    # map() stops at the shorter argument, so the kernels check lengths
+    # themselves: a longer vector must not lose its extra entries.
+    @pytest.mark.parametrize("v", [(1, 0, 0, 5), (1, 0)])
+    def test_pairing(self, v):
+        with pytest.raises(ValueError, match="does not fit"):
+            _sys("A3").pairing(v, 0)
+
+    @pytest.mark.parametrize(
+        "v,w",
+        [((1, 0, 0, 9), (1, 0, 0)), ((1, 0, 0), (1, 0, 0, 9)), ((1, 0), (1, 0, 0)), ((1, 0, 0), (1,))],
+    )
+    def test_bilinear(self, v, w):
+        with pytest.raises(ValueError, match="does not fit"):
+            _sys("A3").bilinear(v, w)
+
+
+ALL_SYSTEMS = [[t] for t in ALL_SIMPLE] + [[t, t] for t in ALL_SIMPLE]
+
+
+@pytest.mark.parametrize("types", ALL_SYSTEMS, ids="x".join)
+def test_pairing_and_bilinear_against_index_loops(types):
+    rs = build_root_system(types)
+    n = rs.n
+    rng = random.Random("".join(types))
+    for _ in range(20):
+        v = [rng.randint(-5, 5) for _ in range(n)]
+        w = [rng.randint(-5, 5) for _ in range(n)]
+        for i in range(n):
+            want = 0
+            for j in range(n):
+                want += rs.cartan[i][j] * v[j]
+            assert rs.pairing(v, i) == want
+        want = 0
+        for i in range(n):
+            for j in range(n):
+                want += v[i] * rs.symmetrizer[i] * rs.cartan[i][j] * w[j]
+        assert rs.bilinear(v, w) == want
+
+
+def test_mat_mul_against_index_loops():
+    rng = random.Random(6)
+    for n in range(1, 9):
+        for _ in range(10):
+            a = tuple(tuple(rng.randint(-4, 4) for _ in range(n)) for _ in range(n))
+            b = tuple(tuple(rng.randint(-4, 4) for _ in range(n)) for _ in range(n))
+            want = [[0] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(n):
+                    for k in range(n):
+                        want[i][j] += a[i][k] * b[k][j]
+            assert mat_mul(a, b) == tuple(map(tuple, want))
+
+
+@pytest.mark.parametrize(
+    "types",
+    [ts for ts in ALL_SYSTEMS if SimpleType.parse(ts[0]).rank <= 6],
+    ids="x".join,
+)
+def test_supported_against_coordinate_scan(types):
+    rs = build_root_system(types)
+    n = rs.n
+    supports = [{k for k in range(n) if r[k]} for r in rs.positive_roots]
+    for mask in range(1 << n):
+        nodes = {k for k in range(n) if mask >> k & 1}
+        assert rootsys._supported(rs, nodes) == [s <= nodes for s in supports]

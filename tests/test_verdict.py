@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -33,6 +34,18 @@ def test_golden_fixtures(tag, name, hyp):
     v = real_structure_verdict(lookup(name).diagram, hyp)
     expected = (GOLDEN / f"verdict_{tag}.json").read_text()
     assert verdict_to_json(v) + "\n" == expected
+
+
+def test_json_is_the_value_of_the_verdict():
+    # the text is memoised per verdict value: equal verdicts give equal
+    # text, and a verdict outside the decision table is written too
+    v = real_structure_verdict(lookup("sl(3,R)").diagram, SubgroupHypotheses(True, False))
+    again = real_structure_verdict(lookup("sl(4,R)").diagram, SubgroupHypotheses(True, False))
+    assert v is not again and verdict_to_json(v) == verdict_to_json(again)
+    odd = replace(v, citations=("x",), caveats=())
+    payload = json.loads(verdict_to_json(odd))
+    assert payload["citations"] == ["x"] and payload["caveats"] == []
+    assert json.loads(verdict_to_json(v))["citations"] == list(v.citations)
 
 
 def test_json_field_order():
