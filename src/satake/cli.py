@@ -20,6 +20,7 @@ from .errors import DiagramDataError, DiagramParseError, UnknownRealFormError
 from .involution import (
     act_on_weight,
     base_coordinates,
+    involution_failures,
     permutation_cycles,
     restricted_roots,
     restricted_to_json,
@@ -208,17 +209,15 @@ def _cmd_verdict(args: argparse.Namespace) -> int:
 
 
 def _selftest_checks(d: SatakeDiagram, failures: list[str], tag: str) -> None:
-    # Only invariants that building the derivation does not already enforce.
+    # What the derivation does not enforce, the lattice involution's laws first.
     rs = d.rs
     report = validate(d)
     if not report.ok:
         failures.append(f"{tag}: validation failed: {report}")
         return
+    failures.extend(f"{tag}: {check}: {detail}" for check, detail in involution_failures(d))
     perm = satake_automorphism(d)
     for comp in connected_node_sets(rs, d.black):
-        if sorted(perm[i] for i in comp) != list(comp):
-            failures.append(f"{tag}: black component {comp} is not preserved")
-            continue
         t = identify_cartan(subdiagram_cartan(rs, comp))
         flipped = any(perm[i] != i for i in comp)
         if flipped != longest_negation_nontrivial(t):

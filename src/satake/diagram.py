@@ -43,6 +43,9 @@ class SatakeDiagram(_Derivation):
         except ValueError as e:
             raise DiagramDataError([("component types", str(e))]) from e
         object.__setattr__(self, "types", rs.components)
+        for i in (*self.black, *(k for pair in self.arrows for k in pair)):
+            if type(i) is not int:
+                raise DiagramDataError([("node index is not an integer", repr(i))])
         for i in sorted(self.black):
             if not 0 <= i < rs.n:
                 raise DiagramDataError([("black node out of range", f"node {i + 1}")])
@@ -52,6 +55,8 @@ class SatakeDiagram(_Derivation):
                 raise DiagramDataError([("arrow endpoint out of range", tag)])
             if i == j:
                 raise DiagramDataError([("arrow connects a node to itself", tag)])
+        arrows = sorted({(min(i, j), max(i, j)) for i, j in self.arrows})
+        object.__setattr__(self, "arrows", tuple(arrows))
 
     @classmethod
     def create(
@@ -60,8 +65,7 @@ class SatakeDiagram(_Derivation):
         black: Iterable[int] = (),
         arrows: Iterable[tuple[int, int]] = (),
     ) -> "SatakeDiagram":
-        norm = {(min(int(i), int(j)), max(int(i), int(j))) for i, j in arrows}
-        return cls(tuple(types), frozenset(int(i) for i in black), tuple(sorted(norm)))
+        return cls(tuple(types), frozenset(black), tuple(arrows))
 
     @cached_property
     def rs(self) -> RootSystem:
@@ -105,7 +109,11 @@ class ValidationReport:
 
 
 def validate(d: SatakeDiagram) -> ValidationReport:
-    """Run every structural and lattice-level check on the diagram."""
+    """Run the structural checks and the node map's Cartan check.
+
+    Once the node map passes, the lattice involution's laws hold; the
+    selftest checks them (``involution.involution_failures``).
+    """
     try:
         dual_cartan_involution(d)
     except DiagramDataError as e:

@@ -16,15 +16,18 @@ pairing of white nodes, this module computes:
 
 Diagram arguments are ``SatakeDiagram`` instances.  Each diagram is
 derived once: ``_Derivation``, mixed into ``SatakeDiagram``, computes the
-stages (black longest element, node map, lattice involution with its
-checks, corrections, restricted roots) on first need and keeps them on
-the instance, and the public functions read them.  All checks report
-granular (check, detail) pairs through ``DiagramDataError``.
+stages (black longest element, node map, lattice involution,
+corrections, restricted roots) on first need and keeps them on the
+instance, and the public functions read them.  Only the node map checks,
+reporting (check, detail) pairs through ``DiagramDataError``: once it
+passes, the lattice involution's laws are theorems, which
+``involution_failures`` checks for the selftest and the tests.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -57,32 +60,25 @@ Failures = tuple[tuple[str, str], ...]
 def structural_failures(d: "SatakeDiagram") -> Failures:
     """Checks that only involve the node sets, not the lattice action.
 
-    Index ranges and self-arrows are enforced when the diagram is built.
+    Index ranges and self-arrows are enforced, and repeated arrows
+    merged, when the diagram is built.
     """
-    fails: list[tuple[str, str]] = []
-    seen: dict[int, int] = {}
-    for i, j in d.arrows:
-        if i in d.black or j in d.black:
-            fails.append(("arrow touches black node", f"{i + 1}<->{j + 1}"))
-        seen[i] = seen.get(i, 0) + 1
-        seen[j] = seen.get(j, 0) + 1
-    for k in sorted(seen):
-        if seen[k] > 1:
-            fails.append(("node in more than one arrow", f"node {k + 1}"))
+    fails = [
+        ("arrow touches black node", f"{i + 1}<->{j + 1}")
+        for i, j in d.arrows
+        if i in d.black or j in d.black
+    ]
+    seen = Counter(k for pair in d.arrows for k in pair)
+    fails += [("node in more than one arrow", f"node {k + 1}") for k in sorted(seen) if seen[k] > 1]
     if fails:
-        return tuple(dict.fromkeys(fails))
-    omega = d.omega_map
-    a = d.rs.cartan
-    for i in d.whites:
-        for j in d.whites:
-            if a[omega[i]][omega[j]] != a[i][j]:
-                fails.append(
-                    (
-                        "arrows break bond pattern",
-                        f"nodes {i + 1},{j + 1} map to {omega[i] + 1},{omega[j] + 1}",
-                    )
-                )
-    return tuple(fails)
+        return tuple(fails)
+    omega, a = d.omega_map, d.rs.cartan
+    return tuple(
+        ("arrows break bond pattern", f"nodes {i + 1},{j + 1} map to {omega[i] + 1},{omega[j] + 1}")
+        for i in d.whites
+        for j in d.whites
+        if a[omega[i]][omega[j]] != a[i][j]
+    )
 
 
 class _Derivation:
@@ -90,10 +86,10 @@ class _Derivation:
 
     Every stage is a ``cached_property`` computed on first need and kept
     on the instance, so it is computed once however many accessors ask,
-    and it goes away with the diagram.  The stages that run checks hold
-    ``(value, failures)`` and the accessors raise the failures; the
-    later stages reach the node map through ``satake_automorphism``, so
-    they raise its failures.
+    and it goes away with the diagram.  The node map holds
+    ``(perm, failures)`` and ``satake_automorphism`` raises the
+    failures; the later stages reach the node map through it, so they
+    raise its failures and hold no failures of their own.
     """
 
     @cached_property
@@ -121,14 +117,13 @@ class _Derivation:
         for i in self.black:
             # w0 sends a black simple root to minus a black simple root
             perm[i] = self._w0_black[i].index(-1)
-        if any(perm[perm[i]] != i for i in range(self.n)):
-            fails = (("node map is not an involution", _perm_text(perm)),)
-        elif not is_diagram_automorphism(self.rs, perm):
+        # an involution: the arrows pair white nodes, -w0 flips black ones
+        if not is_diagram_automorphism(self.rs, perm):
             fails = (("node map breaks the Cartan matrix", _perm_text(perm)),)
         return tuple(perm), fails
 
     @cached_property
-    def _theta(self: "SatakeDiagram") -> tuple[tuple[Matrix, tuple[Coords, ...]], Failures]:
+    def _theta(self: "SatakeDiagram") -> tuple[Matrix, tuple[Coords, ...]]:
         """The lattice involution and its images of the positive roots."""
         perm = satake_automorphism(self)
         n = self.n
@@ -141,11 +136,11 @@ class _Derivation:
         images: list[Coords] = []
         for p, i in zip(*self.rs._predecessors):
             images.append(cols[i] if p < 0 else tuple(map(add, images[p], cols[i])))
-        return (theta, tuple(images)), involution_failures(self, theta, images)
+        return theta, tuple(images)
 
     @cached_property
     def _corrections(self: "SatakeDiagram") -> dict[int, dict[int, int]]:
-        theta, _ = _checked(self._theta)
+        theta, _ = self._theta
         out: dict[int, dict[int, int]] = {}
         for i in sorted(self.whites):
             vec = _correction_vector(self, theta, i)
@@ -154,7 +149,7 @@ class _Derivation:
 
     @cached_property
     def _restricted(self: "SatakeDiagram") -> "RestrictedRoots":
-        theta, images = _checked(self._theta)
+        theta, images = self._theta
         rs = self.rs
         mult: dict[Coords, int] = {}
         for r, img in zip(rs.positive_roots, images):
@@ -172,22 +167,18 @@ class _Derivation:
         return RestrictedRoots(tuple(base), positive, mult, label)
 
 
-def _checked(stage: tuple[object, Failures]):
-    value, fails = stage
-    if fails:
-        raise DiagramDataError(fails)
-    return value
-
-
 def satake_automorphism(d: "SatakeDiagram") -> tuple[int, ...]:
     """The node involution the diagram induces, as a total permutation.
 
     White nodes follow the arrow pairing (unpaired whites are fixed);
     black nodes follow the negation flip of the black subsystem.  The
-    combined map must be an involutive automorphism of the Dynkin
-    diagram, otherwise ``DiagramDataError`` lists what broke.
+    combined map must be an automorphism of the Dynkin diagram,
+    otherwise ``DiagramDataError`` lists what broke.
     """
-    return _checked(d._node_map)
+    perm, fails = d._node_map
+    if fails:
+        raise DiagramDataError(fails)
+    return perm
 
 
 def _perm_text(perm: Sequence[int]) -> str:
@@ -218,22 +209,25 @@ def dual_cartan_involution(d: "SatakeDiagram") -> Matrix:
     Column ``j`` is the image of the j-th simple root.  Black simple
     roots are fixed; the matrix squares to the identity, permutes the
     roots, and sends every positive root with white support to a
-    negative root.  Violations raise ``DiagramDataError`` with the full
-    failure list.
+    negative root.  A diagram whose node map fails raises
+    ``DiagramDataError`` with the node map's failure list.
     """
-    return _checked(d._theta)[0]
+    return d._theta[0]
 
 
-def involution_failures(
-    d: "SatakeDiagram", theta: Matrix, images: Sequence[Coords]
-) -> Failures:
-    """All lattice-level consistency checks for a candidate involution.
+def involution_failures(d: "SatakeDiagram") -> Failures:
+    """Every law of the diagram's derived node map and lattice involution.
 
-    ``images`` holds ``theta`` applied to each positive root, in order.
+    Empty when all hold, which they do whenever the node map passes, so
+    the derivation does not run these; the selftest and the tests do.
+    Raises ``DiagramDataError`` when the node map fails.
     """
-    rs = d.rs
-    n = d.n
+    perm = satake_automorphism(d)
+    theta, images = d._theta
+    rs, n = d.rs, d.n
     fails: list[tuple[str, str]] = []
+    if any(perm[perm[i]] != i for i in range(n)):
+        fails.append(("node map is not an involution", _perm_text(perm)))
     if mat_mul(theta, theta) != identity_matrix(n):
         fails.append(("involution-squared", "the lattice map does not square to the identity"))
     cols = tuple(zip(*theta))
@@ -266,19 +260,16 @@ def _correction_failures(d: "SatakeDiagram", theta: Matrix) -> list[tuple[str, s
     fails: list[tuple[str, str]] = []
     for i in sorted(d.whites):
         vec = _correction_vector(d, theta, i)
-        for k in d.whites:
-            if vec[k] != 0:
-                fails.append(
-                    (
-                        "corrections",
-                        f"white node {i + 1} has a stray coefficient at white node {k + 1}",
-                    )
-                )
-        for k in sorted(d.black):
-            if vec[k] < 0:
-                fails.append(
-                    ("corrections", f"white node {i + 1} has a negative coefficient at black node {k + 1}")
-                )
+        fails += [
+            ("corrections", f"white node {i + 1} has a stray coefficient at white node {k + 1}")
+            for k in d.whites
+            if vec[k] != 0
+        ]
+        fails += [
+            ("corrections", f"white node {i + 1} has a negative coefficient at black node {k + 1}")
+            for k in sorted(d.black)
+            if vec[k] < 0
+        ]
     return fails
 
 

@@ -52,6 +52,11 @@ class TestCreate:
             (("A2",), set(), ((0, 9),), "arrow endpoint out of range"),
             (("A2",), set(), ((1, 1),), "arrow connects a node to itself"),
             (("A2", "A3"), set(), (), "component types"),
+            (("A3",), {0.5}, (), "node index is not an integer"),
+            (("A3",), {"2"}, (), "node index is not an integer"),
+            (("A3",), {True}, (), "node index is not an integer"),
+            (("A3",), set(), ((0.2, 2.7),), "node index is not an integer"),
+            (("A3",), set(), ((0, "2"),), "node index is not an integer"),
         ],
     )
     def test_direct_construction_checks(self, types, black, arrows, check):
@@ -59,6 +64,19 @@ class TestCreate:
         with pytest.raises(DiagramDataError) as exc:
             SatakeDiagram(types, frozenset(black), arrows)
         assert exc.value.failures[0][0] == check
+
+    @pytest.mark.parametrize(
+        "black, arrows", [([0.9], ()), (["2"], ()), ((), [(0.2, 2.7)]), ((), [(1, "3")])]
+    )
+    def test_create_never_coerces_indices(self, black, arrows):
+        with pytest.raises(DiagramDataError) as exc:
+            SatakeDiagram.create(["A3"], black=black, arrows=arrows)
+        assert exc.value.failures[0][0] == "node index is not an integer"
+
+    def test_direct_construction_normalizes_arrows(self):
+        d = SatakeDiagram(("A3",), frozenset(), ((2, 0), (0, 2)))
+        assert d.arrows == ((0, 2),)
+        assert d == SatakeDiagram.create(["A3"], arrows=[(0, 2)])
 
     def test_equality_ignores_arrow_entry_order(self):
         a = SatakeDiagram.create(["A1", "A1"], arrows=[(0, 1)])

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 from fractions import Fraction
 
@@ -16,12 +17,21 @@ from satake.involution import (
     base_coordinates,
     black_corrections,
     dual_cartan_involution,
+    involution_failures,
     permutation_cycles,
     restricted_roots,
     restricted_to_json,
     satake_automorphism,
 )
-from satake.rootsys import identity_matrix, longest_element, mat_mul, word_matrix
+from satake.rootsys import (
+    _FAMILIES,
+    SimpleType,
+    _rank_ok,
+    identity_matrix,
+    longest_element,
+    mat_mul,
+    word_matrix,
+)
 from satake.verdict import real_structure_verdict
 
 
@@ -97,7 +107,7 @@ class TestCorrections:
 
 class TestDerivedOnce:
     def test_one_derivation_per_diagram(self, monkeypatch, full_catalog):
-        calls = {"longest_element": 0, "theta": 0}
+        calls = {"longest_element": 0, "theta": 0, "laws": 0}
 
         def counted(key, fn):
             def wrapper(*args):
@@ -109,12 +119,15 @@ class TestDerivedOnce:
         word = counted("longest_element", rootsys.longest_element)
         monkeypatch.setattr(rootsys, "longest_element", word)
         monkeypatch.setattr(involution, "longest_element", word)
-        # every lattice involution built is checked exactly once
+        # the lattice involution is built exactly once, and its laws are
+        # left to the selftest
+        stage = involution._Derivation.__dict__["_theta"]
+        monkeypatch.setattr(stage, "func", counted("theta", stage.func))
         monkeypatch.setattr(
-            involution, "involution_failures", counted("theta", involution.involution_failures)
+            involution, "involution_failures", counted("laws", involution.involution_failures)
         )
         for rec in full_catalog:
-            calls.update(longest_element=0, theta=0)
+            calls.update(longest_element=0, theta=0, laws=0)
             d = parse_diagram(rec.text)
             validate(d)
             satake_automorphism(d)
@@ -124,6 +137,7 @@ class TestDerivedOnce:
             real_structure_verdict(d)
             assert calls["longest_element"] <= 1, rec.name
             assert calls["theta"] == 1, rec.name
+            assert calls["laws"] == 0, rec.name
 
     def test_results_are_the_callers_own(self):
         d = parse_diagram("A3 black=1,3 arrows=")
@@ -264,6 +278,47 @@ class TestRestricted:
         )
 
 
+def _matchings(nodes):
+    """Every set of disjoint pairs of ``nodes``, the empty one included."""
+    if not nodes:
+        yield ()
+        return
+    first, rest = nodes[0], nodes[1:]
+    yield from _matchings(rest)
+    for k, j in enumerate(rest):
+        for m in _matchings(rest[:k] + rest[k + 1:]):
+            yield ((first, j),) + m
+
+
+def test_exhaustive_validate_matches_golden():
+    # Every simple and doubled type of total rank <= 7, every black set and
+    # every matching of the white nodes: 14,779 diagrams, 920 accepted.
+    # validate checks the node map only; on every diagram it accepts, the
+    # lattice involution's laws must hold all the same.
+    simple = [SimpleType(f, r) for f in _FAMILIES for r in range(1, 8) if _rank_ok(f, r)]
+    systems = [(t,) for t in simple] + [(t, t) for t in simple if 2 * t.rank <= 7]
+    h = hashlib.sha256()
+    total = accepted = 0
+    for types in systems:
+        n = sum(t.rank for t in types)
+        for black in itertools.chain.from_iterable(
+            itertools.combinations(range(n), k) for k in range(n + 1)
+        ):
+            whites = tuple(i for i in range(n) if i not in black)
+            for arrows in _matchings(whites):
+                d = SatakeDiagram.create(types, black, arrows)
+                report = validate(d)
+                h.update(f"{format_diagram(d)}\t{report}\n".encode())
+                total += 1
+                if report.ok:
+                    accepted += 1
+                    assert involution_failures(d) == (), format_diagram(d)
+    assert (total, accepted) == (14779, 920)
+    assert h.hexdigest() == (
+        "074fc256da79abbd9f678c1351600436d70b03f7d6e1e602ca4ca06a8d38e160"
+    )
+
+
 def _stdlib_json(rr) -> str:
     """The restricted JSON through the stdlib encoder, the reference text."""
 
@@ -312,7 +367,7 @@ class TestJsonEqualsStdlibEncoder:
 def test_root_images_equal_dense_product(full_catalog):
     for rec in full_catalog:
         d = parse_diagram(rec.text)
-        (theta, images), _ = d._theta
+        theta, images = d._theta
         dense = tuple(
             tuple(sum(row[j] * r[j] for j in range(d.n)) for row in theta)
             for r in d.rs.positive_roots
