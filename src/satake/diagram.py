@@ -43,9 +43,13 @@ class SatakeDiagram(_Derivation):
         except ValueError as e:
             raise DiagramDataError([("component types", str(e))]) from e
         object.__setattr__(self, "types", rs.components)
+        for pair in self.arrows:
+            if not isinstance(pair, (tuple, list)) or len(pair) != 2:
+                raise DiagramDataError([("arrow is not a pair of nodes", repr(pair))])
         for i in (*self.black, *(k for pair in self.arrows for k in pair)):
             if type(i) is not int:
                 raise DiagramDataError([("node index is not an integer", repr(i))])
+        object.__setattr__(self, "black", frozenset(self.black))
         for i in sorted(self.black):
             if not 0 <= i < rs.n:
                 raise DiagramDataError([("black node out of range", f"node {i + 1}")])

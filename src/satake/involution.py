@@ -42,7 +42,6 @@ from .rootsys import (
     RootSystem,
     SimpleType,
     _connected_sets,
-    _supported,
     apply_word,
     identify_cartan,
     identity_matrix,
@@ -235,11 +234,11 @@ def involution_failures(d: "SatakeDiagram") -> Failures:
         if cols[j] != rs.simple_root(j):
             fails.append(("involution-fixes-black", f"black simple root {j + 1} moves"))
     pos = rs.positive_root_set
-    for r, img, compact in zip(rs.positive_roots, images, _supported(rs, d.black)):
+    for r, img in zip(rs.positive_roots, images):
         minus = tuple(map(neg, img))
         if img not in pos and minus not in pos:
             fails.append(("involution-roots", f"image of root {r} is not a root"))
-        elif not compact and minus not in pos:
+        elif minus not in pos and any(r[k] for k in d.whites):
             fails.append(
                 ("involution-swaps-noncompact", f"white-supported root {r} has a positive image")
             )

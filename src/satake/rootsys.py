@@ -173,16 +173,28 @@ def _positive_roots_from_cartan(cartan: Matrix) -> tuple[Coords, ...]:
 
 @dataclass(frozen=True)
 class RootSystem:
-    """Immutable Cartan data together with the generated positive roots."""
+    """Immutable Cartan data; the positive roots are closed on first use."""
 
     components: tuple[SimpleType, ...]
     cartan: Matrix
     symmetrizer: Coords
-    positive_roots: tuple[Coords, ...]
 
     @cached_property
     def n(self) -> int:
         return len(self.cartan)
+
+    @cached_property
+    def positive_roots(self) -> tuple[Coords, ...]:
+        """Sorted by height, then lexicographically.  Each component's roots
+        are closed once per type and padded into place; that sort is the
+        closure's own order, so TxT costs one T closure."""
+        roots = [
+            (0,) * nodes[0] + r + (0,) * (self.n - 1 - nodes[-1])
+            for t, nodes in zip(self.components, self.component_nodes)
+            for r in _component_roots(t)
+        ]
+        roots.sort(key=lambda r: (sum(r), r))
+        return tuple(roots)
 
     @cached_property
     def _basis(self) -> tuple[Coords, ...]:
@@ -277,20 +289,13 @@ def _build_cached(comps: tuple[SimpleType, ...]) -> RootSystem:
     cartan = [[0] * n for _ in range(n)]
     start = 0
     symmetrizer: list[int] = []
-    roots: list[Coords] = []
     for t in comps:
-        block = _cartan_block(t)
-        for i in range(t.rank):
-            for j in range(t.rank):
-                cartan[start + i][start + j] = block[i][j]
+        for i, row in enumerate(_cartan_block(t)):
+            cartan[start + i][start : start + t.rank] = row
         symmetrizer.extend(_symmetrizer_block(t))
-        # Components' roots padded into place; sorting by (height, tuple)
-        # below is exactly the closure's order, so TxT costs one T build.
-        roots += [(0,) * start + r + (0,) * (n - start - t.rank) for r in _component_roots(t)]
         start += t.rank
-    roots.sort(key=lambda r: (sum(r), r))
     frozen = tuple(tuple(row) for row in cartan)
-    return RootSystem(comps, frozen, tuple(symmetrizer), tuple(roots))
+    return RootSystem(comps, frozen, tuple(symmetrizer))
 
 
 @lru_cache(maxsize=None)
@@ -342,44 +347,34 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
 
 
-def _supported(rs: RootSystem, nodes: Iterable[int]) -> list[bool]:
-    """Per positive root, whether its support lies in ``nodes``: root ``k``
-    does when node ``i[k]`` and its predecessor ``p[k]`` (if any) do."""
-    nodes = set(nodes)
-    out: list[bool] = []
-    for p, i in zip(*rs._predecessors):
-        out.append(i in nodes and (p < 0 or out[p]))
-    return out
-
-
 def longest_element(rs: RootSystem, nodes: Iterable[int]) -> tuple[int, ...]:
     """Reduced word for the longest element of the parabolic on ``nodes``.
 
-    Starting from the sum of the positive roots supported on the subset,
-    repeatedly apply the smallest simple reflection with positive pairing
-    until the vector is antidominant.  Each step kills exactly one
-    positive root of the parabolic, so the collected letters form a
-    reduced word (the empty subset yields the empty word).  Because the
-    longest element is an involution the letters can be read in either
-    convention.
+    Starting from rho_X, with pairing 1 at each simple coroot of the
+    subset, repeatedly apply the smallest simple reflection with positive
+    pairing until the vector is antidominant, which is -rho_X.  Each step
+    makes one positive root of the parabolic negative, so the letters form
+    a reduced word, read in either convention as w0 is an involution.
+    Only the pairings ``c`` are kept: ``s_i`` does ``c[j] -= c[i] a_ji``.
     """
     subset = sorted(set(nodes))
     for i in subset:
         _check_node(rs, i)
-    supported = [r for r, on in zip(rs.positive_roots, _supported(rs, subset)) if on]
-    v = list(map(sum, zip(*supported))) or [0] * rs.n
+    a = rs.cartan
+    c = dict.fromkeys(subset, 1)
     letters: list[int] = []
     while True:
         for i in subset:
-            c = rs.pairing(v, i)
-            if c > 0:
-                v[i] -= c
-                letters.append(i)
+            ci = c[i]
+            if ci > 0:
                 break
         else:
             break
-    if len(letters) != len(supported):
-        raise RuntimeError("longest-element iteration out of step with the parabolic root count")
+        for j in subset:
+            c[j] -= ci * a[j][i]
+        letters.append(i)
+    if any(x != -1 for x in c.values()):
+        raise RuntimeError("longest-element iteration did not end at -rho of the parabolic")
     return tuple(letters)
 
 

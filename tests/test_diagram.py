@@ -57,6 +57,9 @@ class TestCreate:
             (("A3",), {True}, (), "node index is not an integer"),
             (("A3",), set(), ((0.2, 2.7),), "node index is not an integer"),
             (("A3",), set(), ((0, "2"),), "node index is not an integer"),
+            (("A3",), set(), ((0, 1, 2),), "arrow is not a pair of nodes"),
+            (("A3",), set(), ((0,),), "arrow is not a pair of nodes"),
+            (("A3",), set(), (5,), "arrow is not a pair of nodes"),
         ],
     )
     def test_direct_construction_checks(self, types, black, arrows, check):
@@ -72,6 +75,16 @@ class TestCreate:
         with pytest.raises(DiagramDataError) as exc:
             SatakeDiagram.create(["A3"], black=black, arrows=arrows)
         assert exc.value.failures[0][0] == "node index is not an integer"
+
+    def test_create_rejects_an_arrow_that_is_not_a_pair(self):
+        with pytest.raises(DiagramDataError) as exc:
+            SatakeDiagram.create(["A3"], arrows=[(0, 1, 2)])
+        assert exc.value.failures == (("arrow is not a pair of nodes", "(0, 1, 2)"),)
+
+    def test_direct_construction_freezes_black(self):
+        d = SatakeDiagram(("A3",), {0}, ())
+        assert hash(d) == hash(SatakeDiagram.create(["A3"], [0]))
+        assert d == SatakeDiagram.create(["A3"], [0])
 
     def test_direct_construction_normalizes_arrows(self):
         d = SatakeDiagram(("A3",), frozenset(), ((2, 0), (0, 2)))

@@ -5,10 +5,15 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import satake
 from satake import involution, rootsys
 from satake.diagram import SatakeDiagram, format_diagram, parse_diagram, validate
 from satake.errors import DiagramDataError
@@ -138,6 +143,26 @@ class TestDerivedOnce:
             assert calls["longest_element"] <= 1, rec.name
             assert calls["theta"] == 1, rec.name
             assert calls["laws"] == 0, rec.name
+
+    def test_node_map_closes_no_root_system(self):
+        # A fresh interpreter, so the per-type root cache starts cold.
+        code = (
+            "from satake import classify, parse_diagram, real_structure_verdict,"
+            " restricted_roots, satake_automorphism\n"
+            "from satake.rootsys import _component_roots\n"
+            "classify()\n"
+            "d = parse_diagram('E8 black=2,3,4,5 arrows=')\n"
+            "satake_automorphism(d)\n"
+            "real_structure_verdict(d)\n"
+            "print(_component_roots.cache_info().currsize)\n"
+            "restricted_roots(d)\n"
+            "print(_component_roots.cache_info().currsize)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(satake.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+        )
+        assert proc.stdout.split() == ["0", "1"]
 
     def test_results_are_the_callers_own(self):
         d = parse_diagram("A3 black=1,3 arrows=")

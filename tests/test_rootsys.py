@@ -457,15 +457,34 @@ def test_mat_mul_against_index_loops():
             assert mat_mul(a, b) == tuple(map(tuple, want))
 
 
+def _root_sum_word(rs, subset):
+    """Reference longest-element word: start from the sum of the positive
+    roots supported on ``subset`` and reflect by the smallest node with
+    positive pairing until none has one, one letter per such root."""
+    supported = [r for r in rs.positive_roots if all(r[k] == 0 or k in subset for k in range(rs.n))]
+    v = list(map(sum, zip(*supported))) or [0] * rs.n
+    letters = []
+    while True:
+        for i in subset:
+            c = rs.pairing(v, i)
+            if c > 0:
+                v[i] -= c
+                letters.append(i)
+                break
+        else:
+            break
+    assert len(letters) == len(supported)
+    return tuple(letters)
+
+
 @pytest.mark.parametrize(
     "types",
-    [ts for ts in ALL_SYSTEMS if SimpleType.parse(ts[0]).rank <= 6],
+    [ts for ts in ALL_SYSTEMS if len(ts) * SimpleType.parse(ts[0]).rank <= 8],
     ids="x".join,
 )
-def test_supported_against_coordinate_scan(types):
+def test_longest_element_against_root_sum(types):
+    # every subset of every type of total rank <= 8
     rs = build_root_system(types)
-    n = rs.n
-    supports = [{k for k in range(n) if r[k]} for r in rs.positive_roots]
-    for mask in range(1 << n):
-        nodes = {k for k in range(n) if mask >> k & 1}
-        assert rootsys._supported(rs, nodes) == [s <= nodes for s in supports]
+    for mask in range(1 << rs.n):
+        subset = [k for k in range(rs.n) if mask >> k & 1]
+        assert longest_element(rs, subset) == _root_sum_word(rs, subset)
