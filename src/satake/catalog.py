@@ -15,23 +15,30 @@ as separate records under their own names.
 
 from __future__ import annotations
 
-import difflib
-import json
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
+from ._record import Record
 from .diagram import SatakeDiagram, parse_diagram
 from .errors import UnknownRealFormError
-from .involution import permutation_cycles, satake_automorphism
+from .involution import _json_list, permutation_cycles, satake_automorphism
 from .rootsys import _FAMILIES, MAX_RANK, _rank_ok
 
 Entry = tuple[tuple[str, ...], str]
 
 
-@dataclass(frozen=True)
-class RealFormRecord:
-    names: tuple[str, ...]
-    text: str
+class RealFormRecord(Record):
+    _fields = ("names", "text")
+
+    def __init__(self, names: tuple[str, ...], text: str):
+        self.__dict__.update(names=names, text=text)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.names, self.text) == (other.names, other.text)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.names, self.text))
 
     @cached_property
     def diagram(self) -> SatakeDiagram:
@@ -238,23 +245,48 @@ def lookup(name: str, rank_bound: int = 8) -> RealFormRecord:
     idx = _index(rank_bound)
     key = normalize_name(name)
     if key not in idx:
+        import difflib
+
         suggestions = difflib.get_close_matches(key, sorted(idx), n=5, cutoff=0.6)
         raise UnknownRealFormError(name, suggestions)
     return idx[key]
 
 
-@dataclass(frozen=True)
-class ClassificationRow:
-    name: str
-    diagram: str
-    automorphism: str
-    is_identity: bool
+class ClassificationRow(Record):
+    _fields = ("name", "diagram", "automorphism", "is_identity")
+
+    def __init__(self, name: str, diagram: str, automorphism: str, is_identity: bool):
+        self.__dict__.update(
+            name=name, diagram=diagram, automorphism=automorphism, is_identity=is_identity
+        )
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.name, self.diagram, self.automorphism, self.is_identity) == (
+                other.name,
+                other.diagram,
+                other.automorphism,
+                other.is_identity,
+            )
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.name, self.diagram, self.automorphism, self.is_identity))
 
 
-@dataclass(frozen=True)
-class ClassificationTable:
-    rank_bound: int
-    rows: tuple[ClassificationRow, ...]
+class ClassificationTable(Record):
+    _fields = ("rank_bound", "rows")
+
+    def __init__(self, rank_bound: int, rows: tuple[ClassificationRow, ...]):
+        self.__dict__.update(rank_bound=rank_bound, rows=rows)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.rank_bound, self.rows) == (other.rank_bound, other.rows)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.rank_bound, self.rows))
 
 
 def classify(rank_bound: int = 8) -> ClassificationTable:
@@ -274,16 +306,22 @@ def classify(rank_bound: int = 8) -> ClassificationTable:
 
 
 def classification_to_json(table: ClassificationTable) -> str:
-    payload = {
-        "rank_bound": table.rank_bound,
-        "real_forms": [
-            {
-                "name": row.name,
-                "diagram": row.diagram,
-                "automorphism": row.automorphism,
-                "is_identity": row.is_identity,
-            }
+    """``json.dumps(payload, indent=2)`` of ``{"rank_bound": ..., "real_forms":
+    [{"name": ..., "diagram": ..., "automorphism": ..., "is_identity": ...},
+    ...]}``.  Built directly, as ``restricted_to_json`` is, with ``json``
+    quoting each value: its indenting encoder is pure Python."""
+    import json
+
+    q = json.dumps
+    rows = _json_list(
+        [
+            '    {\n      "name": ' + q(row.name)
+            + ',\n      "diagram": ' + q(row.diagram)
+            + ',\n      "automorphism": ' + q(row.automorphism)
+            + ',\n      "is_identity": ' + q(row.is_identity)
+            + "\n    }"
             for row in table.rows
         ],
-    }
-    return json.dumps(payload, indent=2)
+        1,
+    )
+    return '{\n  "rank_bound": ' + q(table.rank_bound) + ',\n  "real_forms": ' + rows + "\n}"

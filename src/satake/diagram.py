@@ -12,55 +12,68 @@ second component after the first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from functools import cached_property
-from typing import Iterable, Sequence
 
+from ._record import Record
 from .errors import DiagramDataError, DiagramParseError
 from .involution import _Derivation, dual_cartan_involution
 from .rootsys import _E_SPINE, RootSystem, SimpleType, build_root_system
 
 
-@dataclass(frozen=True)
-class SatakeDiagram(_Derivation):
+class SatakeDiagram(_Derivation, Record):
     """One or two equal simple components, a black node set, arrow pairs.
 
     Arrows are stored sorted with each pair ascending, so equal diagrams
     compare equal.  Construction, direct or through ``create``, only
-    rejects data that makes the object meaningless (bad indices,
-    self-arrows, mismatched components); semantic consistency is the job
-    of ``validate``.  What is derived from the diagram is computed once
-    and kept on the instance (see ``involution``).
+    rejects data that makes the object meaningless (containers of the
+    wrong kind, bad indices, self-arrows, mismatched components);
+    semantic consistency is the job of ``validate``.  What is derived
+    from the diagram is computed once and kept on the instance (see
+    ``involution``).
     """
 
-    types: tuple[SimpleType, ...]
-    black: frozenset[int]
-    arrows: tuple[tuple[int, int], ...]
+    _fields = ("types", "black", "arrows")
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        types: Sequence[SimpleType | str],
+        black: Iterable[int],
+        arrows: Iterable[tuple[int, int]],
+    ):
+        types = _items(types, "component types are not a sequence")
         try:
-            rs = build_root_system(self.types)
+            rs = build_root_system(types)
         except ValueError as e:
             raise DiagramDataError([("component types", str(e))]) from e
-        object.__setattr__(self, "types", rs.components)
-        for pair in self.arrows:
+        black = _items(black, "black nodes are not a collection")
+        arrows = _items(arrows, "arrows are not a collection")
+        for pair in arrows:
             if not isinstance(pair, (tuple, list)) or len(pair) != 2:
                 raise DiagramDataError([("arrow is not a pair of nodes", repr(pair))])
-        for i in (*self.black, *(k for pair in self.arrows for k in pair)):
+        for i in (*black, *(k for pair in arrows for k in pair)):
             if type(i) is not int:
                 raise DiagramDataError([("node index is not an integer", repr(i))])
-        object.__setattr__(self, "black", frozenset(self.black))
-        for i in sorted(self.black):
+        black = frozenset(black)
+        for i in sorted(black):
             if not 0 <= i < rs.n:
                 raise DiagramDataError([("black node out of range", f"node {i + 1}")])
-        for i, j in self.arrows:
+        for i, j in arrows:
             tag = f"{i + 1}<->{j + 1}"
             if not (0 <= i < rs.n and 0 <= j < rs.n):
                 raise DiagramDataError([("arrow endpoint out of range", tag)])
             if i == j:
                 raise DiagramDataError([("arrow connects a node to itself", tag)])
-        arrows = sorted({(min(i, j), max(i, j)) for i, j in self.arrows})
-        object.__setattr__(self, "arrows", tuple(arrows))
+        arrows = tuple(sorted({(min(i, j), max(i, j)) for i, j in arrows}))
+        self.__dict__.update(types=rs.components, black=black, arrows=arrows)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.types, self.black, self.arrows) == (other.types, other.black, other.arrows)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.types, self.black, self.arrows))
 
     @classmethod
     def create(
@@ -101,10 +114,31 @@ class SatakeDiagram(_Derivation):
         return format_diagram(self)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    ok: bool
-    failures: tuple[tuple[str, str], ...]
+def _items(value, check: str) -> tuple | frozenset:
+    """``value`` as a tuple or frozenset; a string or a non-iterable fails ``check``."""
+    if isinstance(value, (tuple, frozenset)):
+        return value
+    if isinstance(value, str):
+        raise DiagramDataError([(check, repr(value))])
+    try:
+        return tuple(value)
+    except TypeError:
+        raise DiagramDataError([(check, repr(value))]) from None
+
+
+class ValidationReport(Record):
+    _fields = ("ok", "failures")
+
+    def __init__(self, ok: bool, failures: tuple[tuple[str, str], ...]):
+        self.__dict__.update(ok=ok, failures=failures)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.ok, self.failures) == (other.ok, other.failures)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.ok, self.failures))
 
     def __str__(self) -> str:
         if self.ok:

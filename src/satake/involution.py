@@ -26,15 +26,13 @@ passes, the lattice involution's laws are theorems, which
 
 from __future__ import annotations
 
-import json
 from collections import Counter
-from dataclasses import dataclass, replace
-from fractions import Fraction
+from collections.abc import Sequence
 from functools import cached_property, lru_cache
 from math import lcm
 from operator import add, mul, neg, sub
-from typing import TYPE_CHECKING, Sequence
 
+from ._record import Record
 from .errors import DiagramDataError
 from .rootsys import (
     Coords,
@@ -50,13 +48,10 @@ from .rootsys import (
     mat_mul,
 )
 
-if TYPE_CHECKING:
-    from .diagram import SatakeDiagram
-
 Failures = tuple[tuple[str, str], ...]
 
 
-def structural_failures(d: "SatakeDiagram") -> Failures:
+def structural_failures(d) -> Failures:
     """Checks that only involve the node sets, not the lattice action.
 
     Index ranges and self-arrows are enforced, and repeated arrows
@@ -92,21 +87,21 @@ class _Derivation:
     """
 
     @cached_property
-    def _w0_word(self: "SatakeDiagram") -> tuple[int, ...]:
+    def _w0_word(self) -> tuple[int, ...]:
         return longest_element(self.rs, self.black)
 
-    def _w0(self: "SatakeDiagram", i: int) -> Coords:
+    def _w0(self, i: int) -> Coords:
         """The black subsystem's longest element applied to simple root ``i``."""
         return apply_word(self.rs, self._w0_word, self.rs.simple_root(i))
 
     @cached_property
-    def _w0_black(self: "SatakeDiagram") -> dict[int, Coords]:
+    def _w0_black(self) -> dict[int, Coords]:
         # the node map needs only these, so a diagram it rejects never
         # pays for the white images
         return {i: self._w0(i) for i in self.black}
 
     @cached_property
-    def _node_map(self: "SatakeDiagram") -> tuple[tuple[int, ...], Failures]:
+    def _node_map(self) -> tuple[tuple[int, ...], Failures]:
         fails = structural_failures(self)
         if fails:
             return (), fails
@@ -122,7 +117,7 @@ class _Derivation:
         return tuple(perm), fails
 
     @cached_property
-    def _theta(self: "SatakeDiagram") -> tuple[Matrix, tuple[Coords, ...]]:
+    def _theta(self) -> tuple[Matrix, tuple[Coords, ...]]:
         """The lattice involution and its images of the positive roots."""
         perm = satake_automorphism(self)
         n = self.n
@@ -138,7 +133,7 @@ class _Derivation:
         return theta, tuple(images)
 
     @cached_property
-    def _corrections(self: "SatakeDiagram") -> dict[int, dict[int, int]]:
+    def _corrections(self) -> dict[int, dict[int, int]]:
         theta, _ = self._theta
         out: dict[int, dict[int, int]] = {}
         for i in sorted(self.whites):
@@ -147,7 +142,7 @@ class _Derivation:
         return out
 
     @cached_property
-    def _restricted(self: "SatakeDiagram") -> "RestrictedRoots":
+    def _restricted(self) -> "RestrictedRoots":
         theta, images = self._theta
         rs = self.rs
         mult: dict[Coords, int] = {}
@@ -166,7 +161,7 @@ class _Derivation:
         return RestrictedRoots(tuple(base), positive, mult, label)
 
 
-def satake_automorphism(d: "SatakeDiagram") -> tuple[int, ...]:
+def satake_automorphism(d) -> tuple[int, ...]:
     """The node involution the diagram induces, as a total permutation.
 
     White nodes follow the arrow pairing (unpaired whites are fixed);
@@ -202,7 +197,7 @@ def permutation_cycles(perm: Sequence[int]) -> str:
     return "".join(parts) if parts else "identity"
 
 
-def dual_cartan_involution(d: "SatakeDiagram") -> Matrix:
+def dual_cartan_involution(d) -> Matrix:
     """Lattice involution: negated longest black element after the node map.
 
     Column ``j`` is the image of the j-th simple root.  Black simple
@@ -214,7 +209,7 @@ def dual_cartan_involution(d: "SatakeDiagram") -> Matrix:
     return d._theta[0]
 
 
-def involution_failures(d: "SatakeDiagram") -> Failures:
+def involution_failures(d) -> Failures:
     """Every law of the diagram's derived node map and lattice involution.
 
     Empty when all hold, which they do whenever the node map passes, so
@@ -247,7 +242,7 @@ def involution_failures(d: "SatakeDiagram") -> Failures:
     return tuple(fails)
 
 
-def _correction_vector(d: "SatakeDiagram", theta: Matrix, i: int) -> list[int]:
+def _correction_vector(d, theta: Matrix, i: int) -> list[int]:
     # theta(alpha_i) = -alpha_{omega(i)} - sum_b c[i][b] alpha_b, so the
     # corrections are the coordinates of -(theta e_i + e_{omega(i)}).
     vec = [-theta[k][i] for k in range(d.n)]
@@ -255,7 +250,7 @@ def _correction_vector(d: "SatakeDiagram", theta: Matrix, i: int) -> list[int]:
     return vec
 
 
-def _correction_failures(d: "SatakeDiagram", theta: Matrix) -> list[tuple[str, str]]:
+def _correction_failures(d, theta: Matrix) -> list[tuple[str, str]]:
     fails: list[tuple[str, str]] = []
     for i in sorted(d.whites):
         vec = _correction_vector(d, theta, i)
@@ -272,7 +267,7 @@ def _correction_failures(d: "SatakeDiagram", theta: Matrix) -> list[tuple[str, s
     return fails
 
 
-def black_corrections(d: "SatakeDiagram") -> dict[int, dict[int, int]]:
+def black_corrections(d) -> dict[int, dict[int, int]]:
     """Per white node, the nonnegative coefficients over the black nodes.
 
     The involution sends a white simple root to minus its arrow partner
@@ -283,8 +278,7 @@ def black_corrections(d: "SatakeDiagram") -> dict[int, dict[int, int]]:
     return {i: dict(inner) for i, inner in d._corrections.items()}
 
 
-@dataclass(frozen=True)
-class RestrictedRoots:
+class RestrictedRoots(Record):
     """Restricted root data in doubled coordinates.
 
     Vectors store ``root - theta(root)``, i.e. twice the anti-fixed
@@ -297,15 +291,35 @@ class RestrictedRoots:
     roots.
     """
 
-    base: tuple[Coords, ...]
-    positive: tuple[Coords, ...]
-    multiplicity: dict[Coords, int]
-    label: str | None
+    _fields = ("base", "positive", "multiplicity", "label")
+
+    def __init__(
+        self,
+        base: tuple[Coords, ...],
+        positive: tuple[Coords, ...],
+        multiplicity: dict[Coords, int],
+        label: str | None,
+    ):
+        self.__dict__.update(base=base, positive=positive, multiplicity=multiplicity, label=label)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.base, self.positive, self.multiplicity, self.label) == (
+                other.base,
+                other.positive,
+                other.multiplicity,
+                other.label,
+            )
+        return NotImplemented
+
+    def __hash__(self):
+        # raises TypeError: the multiplicity dict is not hashable
+        return hash((self.base, self.positive, self.multiplicity, self.label))
 
 
-def restricted_roots(d: "SatakeDiagram") -> RestrictedRoots:
+def restricted_roots(d) -> RestrictedRoots:
     rr = d._restricted
-    return replace(rr, multiplicity=dict(rr.multiplicity))
+    return RestrictedRoots(rr.base, rr.positive, dict(rr.multiplicity), rr.label)
 
 
 def _restricted_label(
@@ -346,8 +360,8 @@ def _restricted_label(
     return "+".join(str(t) for t in labels)
 
 
-def base_coordinates(base: Sequence[Coords], vec: Coords) -> tuple[Fraction, ...]:
-    """Exact coordinates of ``vec`` in the span of ``base``.
+def base_coordinates(base: Sequence[Coords], vec: Coords) -> tuple:
+    """Exact coordinates, as ``Fraction``s, of ``vec`` in the span of ``base``.
 
     Precondition: every base vector has a private coordinate, one where
     it alone of the base is nonzero.  Every restricted base has one: the
@@ -386,7 +400,11 @@ def _base_data(base: tuple[Coords, ...], n: int) -> tuple[Coords, Coords, int, M
 
 
 # Immutable and shared: restricted coordinates are a few small rationals.
-_fraction = lru_cache(maxsize=256)(Fraction)
+@lru_cache(maxsize=256)
+def _fraction(num: int, den: int):
+    from fractions import Fraction
+
+    return Fraction(num, den)
 
 
 def act_on_weight(perm: Sequence[int], weight: Sequence[int]) -> Coords:
@@ -405,6 +423,14 @@ def _half_json(c: int, level: int) -> str:
     outer = "  " * level
     inner = outer + "  "
     return f'{outer}{{\n{inner}"num": {num},\n{inner}"den": {den}\n{outer}}}'
+
+
+# A few labels recur, so each is quoted by ``json`` once.
+@lru_cache(maxsize=64)
+def _label_json(label: str | None) -> str:
+    import json
+
+    return json.dumps(label)
 
 
 def _json_list(items: list[str], level: int) -> str:
@@ -438,6 +464,6 @@ def restricted_to_json(rr: RestrictedRoots) -> str:
         1,
     )
     return (
-        '{\n  "type": ' + json.dumps(rr.label)
+        '{\n  "type": ' + _label_json(rr.label)
         + ',\n  "base": ' + base + ',\n  "positive": ' + positive + "\n}"
     )

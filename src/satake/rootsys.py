@@ -20,10 +20,11 @@ Conventions:
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from functools import cached_property, lru_cache
 from operator import mul
-from typing import Iterable, Sequence
+
+from ._record import Record
 
 Coords = tuple[int, ...]
 Matrix = tuple[tuple[int, ...], ...]
@@ -54,8 +55,7 @@ def _rank_ok(family: str, rank: int) -> bool:
     return rank == 2
 
 
-@dataclass(frozen=True)
-class SimpleType:
+class SimpleType(Record):
     """A simple Dynkin type, e.g. ``SimpleType("D", 4)``.
 
     Rank bounds: A >= 1, B >= 2, C >= 2, D >= 3, E in {6, 7, 8}, F = 4,
@@ -65,19 +65,25 @@ class SimpleType:
     triple node first.
     """
 
-    family: str
-    rank: int
+    _fields = ("family", "rank")
 
-    def __post_init__(self):
-        if self.family not in _FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}")
-        if not _rank_ok(self.family, self.rank):
-            hint = " (use a doubled A1)" if (self.family == "D" and self.rank == 2) else ""
-            raise ValueError(f"invalid simple type {self.family}{self.rank}{hint}")
-        if self.rank > MAX_RANK:
-            raise ValueError(
-                f"rank {self.rank} is above the cap of {MAX_RANK} per simple component"
-            )
+    def __init__(self, family: str, rank: int):
+        if family not in _FAMILIES:
+            raise ValueError(f"unknown family {family!r}")
+        if not _rank_ok(family, rank):
+            hint = " (use a doubled A1)" if (family == "D" and rank == 2) else ""
+            raise ValueError(f"invalid simple type {family}{rank}{hint}")
+        if rank > MAX_RANK:
+            raise ValueError(f"rank {rank} is above the cap of {MAX_RANK} per simple component")
+        self.__dict__.update(family=family, rank=rank)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.family, self.rank) == (other.family, other.rank)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.family, self.rank))
 
     def __str__(self) -> str:
         return f"{self.family}{self.rank}"
@@ -171,13 +177,25 @@ def _positive_roots_from_cartan(cartan: Matrix) -> tuple[Coords, ...]:
     return tuple(ordered)
 
 
-@dataclass(frozen=True)
-class RootSystem:
+class RootSystem(Record):
     """Immutable Cartan data; the positive roots are closed on first use."""
 
-    components: tuple[SimpleType, ...]
-    cartan: Matrix
-    symmetrizer: Coords
+    _fields = ("components", "cartan", "symmetrizer")
+
+    def __init__(self, components: tuple[SimpleType, ...], cartan: Matrix, symmetrizer: Coords):
+        self.__dict__.update(components=components, cartan=cartan, symmetrizer=symmetrizer)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.components, self.cartan, self.symmetrizer) == (
+                other.components,
+                other.cartan,
+                other.symmetrizer,
+            )
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.components, self.cartan, self.symmetrizer))
 
     @cached_property
     def n(self) -> int:

@@ -17,15 +17,10 @@ can genuinely fail, so every axis stays at "unknown".
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING
 
-from .involution import satake_automorphism
-
-if TYPE_CHECKING:
-    from .diagram import SatakeDiagram
+from ._record import Record
+from .involution import _json_list, satake_automorphism
 
 CONJUGACY_ORDER = ("unknown", "hypothesis-required", "guaranteed")
 HOMOGENEOUS_ORDER = ("unknown", "not-guaranteed", "exists-unique")
@@ -50,26 +45,75 @@ _COMPLETION_CAVEAT = (
 )
 
 
-@dataclass(frozen=True)
-class SubgroupHypotheses:
+class SubgroupHypotheses(Record):
     """What is assumed about the subgroup defining the homogeneous space."""
 
-    spherical: bool = False
-    self_normalizing: bool = False
+    _fields = ("spherical", "self_normalizing")
+
+    def __init__(self, spherical: bool = False, self_normalizing: bool = False):
+        self.__dict__.update(spherical=spherical, self_normalizing=self_normalizing)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.spherical, self.self_normalizing) == (
+                other.spherical,
+                other.self_normalizing,
+            )
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.spherical, self.self_normalizing))
 
 
-@dataclass(frozen=True)
-class StructureVerdict:
-    subgroup_conjugacy: str
-    equivariant_map_exists: bool
-    real_structure_on_homogeneous_space: str
-    real_structure_on_completion: str
-    citations: tuple[str, ...]
-    caveats: tuple[str, ...]
+class StructureVerdict(Record):
+    _fields = (
+        "subgroup_conjugacy",
+        "equivariant_map_exists",
+        "real_structure_on_homogeneous_space",
+        "real_structure_on_completion",
+        "citations",
+        "caveats",
+    )
+
+    def __init__(
+        self,
+        subgroup_conjugacy: str,
+        equivariant_map_exists: bool,
+        real_structure_on_homogeneous_space: str,
+        real_structure_on_completion: str,
+        citations: tuple[str, ...],
+        caveats: tuple[str, ...],
+    ):
+        self.__dict__.update(
+            subgroup_conjugacy=subgroup_conjugacy,
+            equivariant_map_exists=equivariant_map_exists,
+            real_structure_on_homogeneous_space=real_structure_on_homogeneous_space,
+            real_structure_on_completion=real_structure_on_completion,
+            citations=citations,
+            caveats=caveats,
+        )
+
+    def _values(self) -> tuple:
+        return (
+            self.subgroup_conjugacy,
+            self.equivariant_map_exists,
+            self.real_structure_on_homogeneous_space,
+            self.real_structure_on_completion,
+            self.citations,
+            self.caveats,
+        )
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
 
 
 def real_structure_verdict(
-    diagram: "SatakeDiagram", hypotheses: SubgroupHypotheses = SubgroupHypotheses()
+    diagram, hypotheses: SubgroupHypotheses = SubgroupHypotheses()
 ) -> StructureVerdict:
     """Decision table keyed on the induced node involution and the hypotheses."""
     perm = satake_automorphism(diagram)
@@ -118,12 +162,18 @@ def verdict_to_json(v: StructureVerdict) -> str:
 # The decision table yields four verdicts, and the text is immutable.
 @lru_cache(maxsize=16)
 def _verdict_json(v: StructureVerdict) -> str:
-    payload = {
-        "subgroup_conjugacy": v.subgroup_conjugacy,
-        "equivariant_map_exists": v.equivariant_map_exists,
-        "real_structure_on_homogeneous_space": v.real_structure_on_homogeneous_space,
-        "real_structure_on_completion": v.real_structure_on_completion,
-        "citations": list(v.citations),
-        "caveats": list(v.caveats),
-    }
-    return json.dumps(payload, indent=2)
+    """``json.dumps(payload, indent=2)`` of the fields in order, the
+    tuples as lists.  Built directly, as ``restricted_to_json`` is, with
+    ``json`` quoting each value."""
+    import json
+
+    q = json.dumps
+    return (
+        '{\n  "subgroup_conjugacy": ' + q(v.subgroup_conjugacy)
+        + ',\n  "equivariant_map_exists": ' + q(v.equivariant_map_exists)
+        + ',\n  "real_structure_on_homogeneous_space": ' + q(v.real_structure_on_homogeneous_space)
+        + ',\n  "real_structure_on_completion": ' + q(v.real_structure_on_completion)
+        + ',\n  "citations": ' + _json_list(["    " + q(c) for c in v.citations], 1)
+        + ',\n  "caveats": ' + _json_list(["    " + q(c) for c in v.caveats], 1)
+        + "\n}"
+    )

@@ -13,6 +13,8 @@ import pytest
 
 import satake
 from satake.catalog import (
+    ClassificationRow,
+    ClassificationTable,
     catalog,
     classification_to_json,
     classify,
@@ -170,6 +172,41 @@ class TestClassification:
         for row in table.rows:
             if row.name in doubled:
                 assert not row.is_identity
+
+    @staticmethod
+    def _dumps(table):
+        payload = {
+            "rank_bound": table.rank_bound,
+            "real_forms": [
+                {
+                    "name": row.name,
+                    "diagram": row.diagram,
+                    "automorphism": row.automorphism,
+                    "is_identity": row.is_identity,
+                }
+                for row in table.rows
+            ],
+        }
+        return json.dumps(payload, indent=2)
+
+    @pytest.mark.parametrize("bound", range(1, 9))
+    def test_json_text_is_json_dumps(self, bound):
+        table = classify(bound)
+        assert classification_to_json(table) == self._dumps(table)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            (),
+            (
+                ClassificationRow('a "quoted" name', "back\\slash\tand tab", "(1 2)", False),
+                ClassificationRow("so\u2217(8) \u00e9\u00e8", "\U0001d53c\n", "identity", True),
+            ),
+        ],
+    )
+    def test_json_text_of_a_hand_built_table(self, rows):
+        table = ClassificationTable(3, rows)
+        assert classification_to_json(table) == self._dumps(table)
 
     def test_json_is_deterministic_and_loadable(self):
         a = classification_to_json(classify())

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import satake
 from satake.cli import run
 from satake.rootsys import MAX_RANK
 
@@ -221,3 +223,24 @@ def test_console_entry_point_round_trip():
     proc = subprocess.run(cmd, capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.strip() == "(1 5)(2 4)"
+
+
+def test_cold_queries_import_only_what_they_run():
+    # ``-S`` keeps site's own imports out; a query that needs no JSON,
+    # rationals or name suggestions must not load those modules.
+    code = (
+        "import sys\n"
+        "import satake.cli\n"
+        "loaded = [set(sys.modules)]\n"
+        "for argv in (['list'], ['epsilon', 'e6(-14)']):\n"
+        "    satake.cli.run(argv)\n"
+        "    loaded.append(set(sys.modules))\n"
+        "heavy = {'dataclasses', 'inspect', 'json', 'fractions', 'decimal', 'difflib', 'typing'}\n"
+        "print('LOADED', *[sorted(heavy & m) for m in loaded], file=sys.stderr)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(satake.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert proc.stderr.strip() == "LOADED [] [] []"
+    assert proc.stdout.splitlines()[-1] == "(1 6)(3 5)"

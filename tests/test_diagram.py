@@ -48,24 +48,27 @@ class TestCreate:
     @pytest.mark.parametrize(
         "types, black, arrows, check",
         [
-            (("A2",), {5}, (), "black node out of range"),
-            (("A2",), set(), ((0, 9),), "arrow endpoint out of range"),
-            (("A2",), set(), ((1, 1),), "arrow connects a node to itself"),
-            (("A2", "A3"), set(), (), "component types"),
-            (("A3",), {0.5}, (), "node index is not an integer"),
-            (("A3",), {"2"}, (), "node index is not an integer"),
-            (("A3",), {True}, (), "node index is not an integer"),
-            (("A3",), set(), ((0.2, 2.7),), "node index is not an integer"),
-            (("A3",), set(), ((0, "2"),), "node index is not an integer"),
-            (("A3",), set(), ((0, 1, 2),), "arrow is not a pair of nodes"),
-            (("A3",), set(), ((0,),), "arrow is not a pair of nodes"),
-            (("A3",), set(), (5,), "arrow is not a pair of nodes"),
+            (("A2",), frozenset({5}), (), "black node out of range"),
+            (("A2",), frozenset(), ((0, 9),), "arrow endpoint out of range"),
+            (("A2",), frozenset(), ((1, 1),), "arrow connects a node to itself"),
+            (("A2", "A3"), frozenset(), (), "component types"),
+            (("A3",), frozenset({0.5}), (), "node index is not an integer"),
+            (("A3",), frozenset({"2"}), (), "node index is not an integer"),
+            (("A3",), frozenset({True}), (), "node index is not an integer"),
+            (("A3",), frozenset(), ((0.2, 2.7),), "node index is not an integer"),
+            (("A3",), frozenset(), ((0, "2"),), "node index is not an integer"),
+            (("A3",), frozenset(), ((0, 1, 2),), "arrow is not a pair of nodes"),
+            (("A3",), frozenset(), ((0,),), "arrow is not a pair of nodes"),
+            (("A3",), frozenset(), (5,), "arrow is not a pair of nodes"),
+            (("A3",), 5, (), "black nodes are not a collection"),
+            (("A3",), frozenset(), 5, "arrows are not a collection"),
+            ("A3", frozenset(), (), "component types are not a sequence"),
         ],
     )
     def test_direct_construction_checks(self, types, black, arrows, check):
         # the constructor enforces what create does, so no path bypasses it
         with pytest.raises(DiagramDataError) as exc:
-            SatakeDiagram(types, frozenset(black), arrows)
+            SatakeDiagram(types, black, arrows)
         assert exc.value.failures[0][0] == check
 
     @pytest.mark.parametrize(

@@ -1,0 +1,158 @@
+"""Value semantics of the immutable record classes.
+
+The expected ``repr`` texts are those the records printed when they were
+frozen dataclasses; equality, hashing and immutability must match too.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from satake.catalog import ClassificationRow, ClassificationTable, RealFormRecord
+from satake.diagram import SatakeDiagram, ValidationReport, parse_diagram
+from satake.involution import RestrictedRoots, restricted_roots
+from satake.rootsys import RootSystem, SimpleType, build_root_system
+from satake.verdict import StructureVerdict, SubgroupHypotheses, real_structure_verdict
+
+A1, A3 = SimpleType("A", 1), SimpleType("A", 3)
+_ROW = ("n", "A1 black= arrows=", "identity", True)
+_CAVEATS = (
+    "conclusions are stated for connected semisimple complex linear algebraic groups",
+    "the induced node involution is nontrivial, so the descent argument does not apply; "
+    "in known examples the conjugation interchanges divisor classes and no compatible "
+    "real structure exists",
+)
+
+# (class, fields by keyword in order, one field changed, repr)
+CASES = [
+    (SimpleType, {"family": "A", "rank": 3}, {"rank": 4}, "SimpleType(family='A', rank=3)"),
+    (
+        RootSystem,
+        {"components": (A1, A1), "cartan": ((2, 0), (0, 2)), "symmetrizer": (1, 1)},
+        {"symmetrizer": (2, 2)},
+        "RootSystem(components=(SimpleType(family='A', rank=1), SimpleType(family='A', rank=1)),"
+        " cartan=((2, 0), (0, 2)), symmetrizer=(1, 1))",
+    ),
+    (
+        SatakeDiagram,
+        {"types": (A3,), "black": frozenset({1}), "arrows": ((0, 2),)},
+        {"black": frozenset()},
+        "SatakeDiagram(types=(SimpleType(family='A', rank=3),), black=frozenset({1}),"
+        " arrows=((0, 2),))",
+    ),
+    (
+        ValidationReport,
+        {"ok": False, "failures": (("c", "x"),)},
+        {"failures": ()},
+        "ValidationReport(ok=False, failures=(('c', 'x'),))",
+    ),
+    (
+        RestrictedRoots,
+        {
+            "base": ((1, 1, 1),),
+            "positive": ((1, 1, 1), (2, 2, 2)),
+            "multiplicity": {(1, 1, 1): 4, (2, 2, 2): 1},
+            "label": "BC1",
+        },
+        {"label": None},
+        "RestrictedRoots(base=((1, 1, 1),), positive=((1, 1, 1), (2, 2, 2)),"
+        " multiplicity={(1, 1, 1): 4, (2, 2, 2): 1}, label='BC1')",
+    ),
+    (
+        SubgroupHypotheses,
+        {"spherical": True, "self_normalizing": False},
+        {"self_normalizing": True},
+        "SubgroupHypotheses(spherical=True, self_normalizing=False)",
+    ),
+    (
+        StructureVerdict,
+        {
+            "subgroup_conjugacy": "unknown",
+            "equivariant_map_exists": False,
+            "real_structure_on_homogeneous_space": "unknown",
+            "real_structure_on_completion": "unknown",
+            "citations": ("Sec6-example",),
+            "caveats": _CAVEATS,
+        },
+        {"citations": ()},
+        "StructureVerdict(subgroup_conjugacy='unknown', equivariant_map_exists=False,"
+        " real_structure_on_homogeneous_space='unknown', real_structure_on_completion='unknown',"
+        " citations=('Sec6-example',), caveats=('conclusions are stated for connected semisimple"
+        " complex linear algebraic groups', 'the induced node involution is nontrivial, so the"
+        " descent argument does not apply; in known examples the conjugation interchanges"
+        " divisor classes and no compatible real structure exists'))",
+    ),
+    (
+        RealFormRecord,
+        {"names": ("su(2,1)", "su(1,2)"), "text": "A2 black= arrows=1:2"},
+        {"names": ("su(2,1)",)},
+        "RealFormRecord(names=('su(2,1)', 'su(1,2)'), text='A2 black= arrows=1:2')",
+    ),
+    (
+        ClassificationRow,
+        dict(zip(("name", "diagram", "automorphism", "is_identity"), _ROW)),
+        {"is_identity": False},
+        "ClassificationRow(name='n', diagram='A1 black= arrows=', automorphism='identity',"
+        " is_identity=True)",
+    ),
+    (
+        ClassificationTable,
+        {"rank_bound": 1, "rows": (ClassificationRow(*_ROW),)},
+        {"rows": ()},
+        "ClassificationTable(rank_bound=1, rows=(ClassificationRow(name='n',"
+        " diagram='A1 black= arrows=', automorphism='identity', is_identity=True),))",
+    ),
+]
+IDS = [c[0].__name__ for c in CASES]
+
+
+@pytest.mark.parametrize("cls, fields, changed, text", CASES, ids=IDS)
+def test_value_semantics(cls, fields, changed, text):
+    a = cls(*fields.values())
+    b = cls(**fields)
+    other = cls(**{**fields, **changed})
+    assert repr(a) == repr(b) == text
+    assert a == b and not a != b
+    assert a != other and not a == other
+    # equal only to its own class: a tuple of the same fields differs
+    assert a != tuple(fields.values())
+    for name, value in fields.items():
+        assert getattr(a, name) == value
+    if cls is RestrictedRoots:
+        with pytest.raises(TypeError):  # the multiplicity dict is unhashable
+            hash(a)
+    else:
+        # the hash of the field tuple, as before, so set and dict orders hold
+        assert hash(a) == hash(b) == hash(tuple(fields.values()))
+        assert len({a, b, other}) == 2
+
+
+@pytest.mark.parametrize("cls, fields, changed, text", CASES, ids=IDS)
+def test_fields_are_read_only(cls, fields, changed, text):
+    a = cls(**fields)
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(a, name, None)
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+    with pytest.raises(AttributeError):
+        a.extra = 1
+    assert a == cls(**fields)
+
+
+def test_keyword_defaults():
+    assert SubgroupHypotheses() == SubgroupHypotheses(False, False)
+    assert SubgroupHypotheses(self_normalizing=True) == SubgroupHypotheses(False, True)
+    d = parse_diagram("A3 black=2 arrows=1:3")
+    assert real_structure_verdict(d) == real_structure_verdict(d, SubgroupHypotheses())
+
+
+def test_cached_stages_do_not_change_the_value():
+    d = parse_diagram("E6 black=3,4,5 arrows=1:6")
+    fresh = parse_diagram("E6 black=3,4,5 arrows=1:6")
+    assert restricted_roots(d).label == "BC2"
+    assert "_theta" in vars(d) and "_theta" not in vars(fresh)
+    assert d == fresh and hash(d) == hash(fresh)
+    assert d.rs is build_root_system(["E6"]) and len(d.rs.positive_roots) == 36
+    rec = RealFormRecord(("e6(-14)",), "E6 black=3,4,5 arrows=1:6")
+    assert rec.diagram == d and rec == RealFormRecord(("e6(-14)",), rec.text)

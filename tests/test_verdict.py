@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -14,6 +13,7 @@ from satake.verdict import (
     COMPLETION_ORDER,
     CONJUGACY_ORDER,
     HOMOGENEOUS_ORDER,
+    StructureVerdict,
     SubgroupHypotheses,
     real_structure_verdict,
     verdict_to_json,
@@ -42,10 +42,44 @@ def test_json_is_the_value_of_the_verdict():
     v = real_structure_verdict(lookup("sl(3,R)").diagram, SubgroupHypotheses(True, False))
     again = real_structure_verdict(lookup("sl(4,R)").diagram, SubgroupHypotheses(True, False))
     assert v is not again and verdict_to_json(v) == verdict_to_json(again)
-    odd = replace(v, citations=("x",), caveats=())
+    odd = StructureVerdict(
+        v.subgroup_conjugacy,
+        v.equivariant_map_exists,
+        v.real_structure_on_homogeneous_space,
+        v.real_structure_on_completion,
+        citations=("x",),
+        caveats=(),
+    )
     payload = json.loads(verdict_to_json(odd))
     assert payload["citations"] == ["x"] and payload["caveats"] == []
     assert json.loads(verdict_to_json(v))["citations"] == list(v.citations)
+
+
+def _dumps(v):
+    payload = {
+        "subgroup_conjugacy": v.subgroup_conjugacy,
+        "equivariant_map_exists": v.equivariant_map_exists,
+        "real_structure_on_homogeneous_space": v.real_structure_on_homogeneous_space,
+        "real_structure_on_completion": v.real_structure_on_completion,
+        "citations": list(v.citations),
+        "caveats": list(v.caveats),
+    }
+    return json.dumps(payload, indent=2)
+
+
+@pytest.mark.parametrize("tag,name,hyp", GOLDEN_CASES, ids=[c[0] for c in GOLDEN_CASES])
+def test_json_text_is_json_dumps(tag, name, hyp):
+    v = real_structure_verdict(lookup(name).diagram, hyp)
+    assert verdict_to_json(v) == _dumps(v)
+
+
+@pytest.mark.parametrize(
+    "citations, caveats",
+    [((), ()), (('"Thm" 1\\2',), ("caf\u00e9 \u2260 tea\n", "\U0001d53c\ttab"))],
+)
+def test_json_text_of_a_hand_built_verdict(citations, caveats):
+    v = StructureVerdict('say "unknown"', False, "back\\slash", "\u00fcber", citations, caveats)
+    assert verdict_to_json(v) == _dumps(v)
 
 
 def test_json_field_order():
