@@ -4,12 +4,12 @@
 class Record:
     """An immutable value with named fields.
 
-    Each subclass sets its fields once in its own ``__init__``, through
-    ``self.__dict__``, and defines its own ``__eq__`` (same class, equal
-    fields) and ``__hash__`` (of the field tuple); ``_fields`` names the
-    fields in order for ``repr``.  Assigning or deleting an attribute
+    Each subclass's ``__init__`` checks its arguments, then sets its
+    fields and ``_key``, the tuple of their values in ``_fields`` order,
+    once, through ``self.__dict__``.  Equality (same class, equal keys),
+    hash and ``repr`` read ``_key``.  Assigning or deleting an attribute
     raises ``AttributeError``; ``cached_property`` writes the instance
-    dict directly, so cached stages still work.
+    dict directly, so cached stages still work and stay outside the key.
     """
 
     __slots__ = ()
@@ -21,6 +21,14 @@ class Record:
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
 
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key == other._key
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key)
+
     def __repr__(self):
-        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        args = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._key))
         return f"{type(self).__qualname__}({args})"

@@ -30,15 +30,7 @@ class RealFormRecord(Record):
     _fields = ("names", "text")
 
     def __init__(self, names: tuple[str, ...], text: str):
-        self.__dict__.update(names=names, text=text)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.names, self.text) == (other.names, other.text)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.names, self.text))
+        self.__dict__.update(names=names, text=text, _key=(names, text))
 
     @cached_property
     def diagram(self) -> SatakeDiagram:
@@ -257,36 +249,16 @@ class ClassificationRow(Record):
 
     def __init__(self, name: str, diagram: str, automorphism: str, is_identity: bool):
         self.__dict__.update(
-            name=name, diagram=diagram, automorphism=automorphism, is_identity=is_identity
+            name=name, diagram=diagram, automorphism=automorphism, is_identity=is_identity,
+            _key=(name, diagram, automorphism, is_identity),
         )
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.name, self.diagram, self.automorphism, self.is_identity) == (
-                other.name,
-                other.diagram,
-                other.automorphism,
-                other.is_identity,
-            )
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.name, self.diagram, self.automorphism, self.is_identity))
 
 
 class ClassificationTable(Record):
     _fields = ("rank_bound", "rows")
 
     def __init__(self, rank_bound: int, rows: tuple[ClassificationRow, ...]):
-        self.__dict__.update(rank_bound=rank_bound, rows=rows)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.rank_bound, self.rows) == (other.rank_bound, other.rows)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.rank_bound, self.rows))
+        self.__dict__.update(rank_bound=rank_bound, rows=rows, _key=(rank_bound, rows))
 
 
 def classify(rank_bound: int = 8) -> ClassificationTable:

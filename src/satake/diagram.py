@@ -65,15 +65,8 @@ class SatakeDiagram(_Derivation, Record):
             if i == j:
                 raise DiagramDataError([("arrow connects a node to itself", tag)])
         arrows = tuple(sorted({(min(i, j), max(i, j)) for i, j in arrows}))
-        self.__dict__.update(types=rs.components, black=black, arrows=arrows)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.types, self.black, self.arrows) == (other.types, other.black, other.arrows)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.types, self.black, self.arrows))
+        types = rs.components
+        self.__dict__.update(types=types, black=black, arrows=arrows, _key=(types, black, arrows))
 
     @classmethod
     def create(
@@ -82,7 +75,7 @@ class SatakeDiagram(_Derivation, Record):
         black: Iterable[int] = (),
         arrows: Iterable[tuple[int, int]] = (),
     ) -> "SatakeDiagram":
-        return cls(tuple(types), frozenset(black), tuple(arrows))
+        return cls(types, black, arrows)
 
     @cached_property
     def rs(self) -> RootSystem:
@@ -130,15 +123,7 @@ class ValidationReport(Record):
     _fields = ("ok", "failures")
 
     def __init__(self, ok: bool, failures: tuple[tuple[str, str], ...]):
-        self.__dict__.update(ok=ok, failures=failures)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.ok, self.failures) == (other.ok, other.failures)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.ok, self.failures))
+        self.__dict__.update(ok=ok, failures=failures, _key=(ok, failures))
 
     def __str__(self) -> str:
         if self.ok:

@@ -300,21 +300,10 @@ class RestrictedRoots(Record):
         multiplicity: dict[Coords, int],
         label: str | None,
     ):
-        self.__dict__.update(base=base, positive=positive, multiplicity=multiplicity, label=label)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.base, self.positive, self.multiplicity, self.label) == (
-                other.base,
-                other.positive,
-                other.multiplicity,
-                other.label,
-            )
-        return NotImplemented
-
-    def __hash__(self):
-        # raises TypeError: the multiplicity dict is not hashable
-        return hash((self.base, self.positive, self.multiplicity, self.label))
+        self.__dict__.update(
+            base=base, positive=positive, multiplicity=multiplicity, label=label,
+            _key=(base, positive, multiplicity, label),
+        )
 
 
 def restricted_roots(d) -> RestrictedRoots:

@@ -75,22 +75,14 @@ class SimpleType(Record):
             raise ValueError(f"invalid simple type {family}{rank}{hint}")
         if rank > MAX_RANK:
             raise ValueError(f"rank {rank} is above the cap of {MAX_RANK} per simple component")
-        self.__dict__.update(family=family, rank=rank)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.family, self.rank) == (other.family, other.rank)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.family, self.rank))
+        self.__dict__.update(family=family, rank=rank, _key=(family, rank))
 
     def __str__(self) -> str:
         return f"{self.family}{self.rank}"
 
     @classmethod
     def parse(cls, text: str) -> "SimpleType":
-        m = re.fullmatch(r"([A-G])([0-9]+)", text)
+        m = isinstance(text, str) and re.fullmatch(r"([A-G])([0-9]+)", text)
         if not m:
             raise ValueError(f"not a simple type: {text!r}")
         return cls(m.group(1), int(m.group(2)))
@@ -183,19 +175,10 @@ class RootSystem(Record):
     _fields = ("components", "cartan", "symmetrizer")
 
     def __init__(self, components: tuple[SimpleType, ...], cartan: Matrix, symmetrizer: Coords):
-        self.__dict__.update(components=components, cartan=cartan, symmetrizer=symmetrizer)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.components, self.cartan, self.symmetrizer) == (
-                other.components,
-                other.cartan,
-                other.symmetrizer,
-            )
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.components, self.cartan, self.symmetrizer))
+        self.__dict__.update(
+            components=components, cartan=cartan, symmetrizer=symmetrizer,
+            _key=(components, cartan, symmetrizer),
+        )
 
     @cached_property
     def n(self) -> int:
@@ -287,11 +270,12 @@ class RootSystem(Record):
 def build_root_system(types: Sequence[SimpleType | str]) -> RootSystem:
     """Assemble a root system from one simple type or a doubled pair.
 
-    Accepts ``SimpleType`` values or strings like ``"A3"``.  A list of
-    length two must repeat the same type (the complex-algebra-as-real
-    case); anything longer is rejected.
+    Accepts ``SimpleType`` values or strings like ``"A3"``; any other
+    component raises ``ValueError``.  A list of length two must repeat
+    the same type (the complex-algebra-as-real case); anything longer is
+    rejected.
     """
-    comps = tuple(SimpleType.parse(t) if isinstance(t, str) else t for t in types)
+    comps = tuple(t if isinstance(t, SimpleType) else SimpleType.parse(t) for t in types)
     if not comps:
         raise ValueError("at least one simple type is required")
     if len(comps) > 2:

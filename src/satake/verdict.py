@@ -51,18 +51,9 @@ class SubgroupHypotheses(Record):
     _fields = ("spherical", "self_normalizing")
 
     def __init__(self, spherical: bool = False, self_normalizing: bool = False):
-        self.__dict__.update(spherical=spherical, self_normalizing=self_normalizing)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.spherical, self.self_normalizing) == (
-                other.spherical,
-                other.self_normalizing,
-            )
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.spherical, self.self_normalizing))
+        self.__dict__.update(
+            spherical=spherical, self_normalizing=self_normalizing, _key=(spherical, self_normalizing)
+        )
 
 
 class StructureVerdict(Record):
@@ -91,25 +82,11 @@ class StructureVerdict(Record):
             real_structure_on_completion=real_structure_on_completion,
             citations=citations,
             caveats=caveats,
+            _key=(
+                subgroup_conjugacy, equivariant_map_exists, real_structure_on_homogeneous_space,
+                real_structure_on_completion, citations, caveats,
+            ),
         )
-
-    def _values(self) -> tuple:
-        return (
-            self.subgroup_conjugacy,
-            self.equivariant_map_exists,
-            self.real_structure_on_homogeneous_space,
-            self.real_structure_on_completion,
-            self.citations,
-            self.caveats,
-        )
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._values() == other._values()
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self._values())
 
 
 def real_structure_verdict(

@@ -12,6 +12,7 @@ from satake.diagram import (
     validate,
 )
 from satake.errors import DiagramDataError, DiagramParseError
+from satake.rootsys import SimpleType
 
 
 class TestCreate:
@@ -46,6 +47,9 @@ class TestCreate:
             SatakeDiagram.create(["A2", "A3"])
 
     @pytest.mark.parametrize(
+        "build", [SatakeDiagram, SatakeDiagram.create], ids=["init", "create"]
+    )
+    @pytest.mark.parametrize(
         "types, black, arrows, check",
         [
             (("A2",), frozenset({5}), (), "black node out of range"),
@@ -63,12 +67,13 @@ class TestCreate:
             (("A3",), 5, (), "black nodes are not a collection"),
             (("A3",), frozenset(), 5, "arrows are not a collection"),
             ("A3", frozenset(), (), "component types are not a sequence"),
+            ((5,), frozenset(), (), "component types"),
         ],
     )
-    def test_direct_construction_checks(self, types, black, arrows, check):
-        # the constructor enforces what create does, so no path bypasses it
+    def test_direct_construction_checks(self, build, types, black, arrows, check):
+        # create passes its arguments to the constructor, so both report the same check
         with pytest.raises(DiagramDataError) as exc:
-            SatakeDiagram(types, black, arrows)
+            build(types, black, arrows)
         assert exc.value.failures[0][0] == check
 
     @pytest.mark.parametrize(
@@ -93,6 +98,10 @@ class TestCreate:
         d = SatakeDiagram(("A3",), frozenset(), ((2, 0), (0, 2)))
         assert d.arrows == ((0, 2),)
         assert d == SatakeDiagram.create(["A3"], arrows=[(0, 2)])
+        # the value is the normalised fields, not the arguments as given
+        d = SatakeDiagram(["A3"], [1], [(2, 0), (0, 2)])
+        want = SatakeDiagram((SimpleType("A", 3),), frozenset({1}), ((0, 2),))
+        assert d == want and hash(d) == hash(want)
 
     def test_equality_ignores_arrow_entry_order(self):
         a = SatakeDiagram.create(["A1", "A1"], arrows=[(0, 1)])

@@ -107,6 +107,9 @@ class TestConstruction:
             build_root_system(["A2", "A3"])
         with pytest.raises(ValueError):
             build_root_system(["A2", "A2", "A2"])
+        for bad in ([None], [5]):
+            with pytest.raises(ValueError, match="not a simple type"):
+                build_root_system(bad)
         rs = build_root_system(["B2", "B2"])
         assert rs.n == 4
         assert rs.component_nodes == ((0, 1), (2, 3))
