@@ -26,12 +26,7 @@ from .involution import (
     restricted_to_json,
     satake_automorphism,
 )
-from .rootsys import (
-    connected_node_sets,
-    identify_cartan,
-    longest_negation_nontrivial,
-    subdiagram_cartan,
-)
+from .rootsys import connected_node_sets, induced_node_permutation
 from .verdict import SubgroupHypotheses, real_structure_verdict, verdict_to_json
 
 
@@ -217,11 +212,11 @@ def _selftest_checks(d: SatakeDiagram, failures: list[str], tag: str) -> None:
         return
     failures.extend(f"{tag}: {check}: {detail}" for check, detail in involution_failures(d))
     perm = satake_automorphism(d)
+    # the node map reads the black flip off each component's shape; the
+    # word for the component's longest element is the independent side
     for comp in connected_node_sets(rs, d.black):
-        t = identify_cartan(subdiagram_cartan(rs, comp))
-        flipped = any(perm[i] != i for i in comp)
-        if flipped != longest_negation_nontrivial(t):
-            failures.append(f"{tag}: black component {comp} of type {t} flips incorrectly")
+        if {i: perm[i] for i in comp} != induced_node_permutation(rs, comp):
+            failures.append(f"{tag}: black component {comp} flips unlike -w0")
     if d.is_doubled:
         r = d.types[0].rank
         if any(perm[i] < r for i in range(r)):

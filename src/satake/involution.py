@@ -4,8 +4,8 @@ Given a diagram with a black (painted) node set and an involutive arrow
 pairing of white nodes, this module computes:
 
 * the induced node involution on the whole diagram, which acts as the
-  arrow pairing on white nodes and as the flip forced by the longest
-  element of the black subsystem on black nodes;
+  arrow pairing on white nodes and on black nodes as the flip -w0 of
+  the black subsystem, read off each black component's shape;
 * the root-lattice involution that fixes every black simple root and
   sends every positive root with white support to a negative root;
 * the correction coefficients over black nodes that appear when that
@@ -16,9 +16,10 @@ pairing of white nodes, this module computes:
 
 Diagram arguments are ``SatakeDiagram`` instances.  Each diagram is
 derived once: ``_Derivation``, mixed into ``SatakeDiagram``, computes the
-stages (black longest element, node map, lattice involution,
-corrections, restricted roots) on first need and keeps them on the
-instance, and the public functions read them.  Only the node map checks,
+stages (node map, lattice involution, corrections, restricted roots) on
+first need and keeps them on the instance, and the public functions read
+them.  A reduced word for the black longest element serves only the
+lattice involution's white columns.  Only the node map checks,
 reporting (check, detail) pairs through ``DiagramDataError``: once it
 passes, the lattice involution's laws are theorems, which
 ``involution_failures`` checks for the selftest and the tests.
@@ -27,7 +28,7 @@ passes, the lattice involution's laws are theorems, which
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from functools import cached_property, lru_cache
 from math import lcm
 from operator import add, mul, neg, sub
@@ -39,6 +40,7 @@ from .rootsys import (
     Matrix,
     RootSystem,
     SimpleType,
+    _arms,
     _connected_sets,
     apply_word,
     identify_cartan,
@@ -87,20 +89,6 @@ class _Derivation:
     """
 
     @cached_property
-    def _w0_word(self) -> tuple[int, ...]:
-        return longest_element(self.rs, self.black)
-
-    def _w0(self, i: int) -> Coords:
-        """The black subsystem's longest element applied to simple root ``i``."""
-        return apply_word(self.rs, self._w0_word, self.rs.simple_root(i))
-
-    @cached_property
-    def _w0_black(self) -> dict[int, Coords]:
-        # the node map needs only these, so a diagram it rejects never
-        # pays for the white images
-        return {i: self._w0(i) for i in self.black}
-
-    @cached_property
     def _node_map(self) -> tuple[tuple[int, ...], Failures]:
         fails = structural_failures(self)
         if fails:
@@ -108,9 +96,10 @@ class _Derivation:
         perm = list(range(self.n))
         for i in self.whites:
             perm[i] = self.omega_map[i]
-        for i in self.black:
-            # w0 sends a black simple root to minus a black simple root
-            perm[i] = self._w0_black[i].index(-1)
+        a = self.rs.cartan
+        for comp in _connected_sets(a, self.black):
+            for i, j in _black_flip(a, comp):
+                perm[i] = j
         # an involution: the arrows pair white nodes, -w0 flips black ones
         if not is_diagram_automorphism(self.rs, perm):
             fails = (("node map breaks the Cartan matrix", _perm_text(perm)),)
@@ -120,15 +109,20 @@ class _Derivation:
     def _theta(self) -> tuple[Matrix, tuple[Coords, ...]]:
         """The lattice involution and its images of the positive roots."""
         perm = satake_automorphism(self)
-        n = self.n
-        w0 = self._w0_black | {i: self._w0(i) for i in self.whites}
-        # column j is -w0(alpha_perm(j))
-        cols = [tuple(map(neg, w0[perm[j]])) for j in range(n)]
+        rs = self.rs
+        word = longest_element(rs, self.black)
+        # column j is -w0(alpha_perm(j)), which is alpha_j itself for a
+        # black j, so the word serves the white columns only
+        cols = [
+            rs.simple_root(j) if j in self.black
+            else tuple(map(neg, apply_word(rs, word, rs.simple_root(perm[j]))))
+            for j in range(self.n)
+        ]
         theta = tuple(zip(*cols))
         # by linearity, theta(r) = theta(r - alpha_i) + theta(alpha_i),
         # and the predecessor r - alpha_i comes earlier in height order
         images: list[Coords] = []
-        for p, i in zip(*self.rs._predecessors):
+        for p, i in zip(*rs._predecessors):
             images.append(cols[i] if p < 0 else tuple(map(add, images[p], cols[i])))
         return theta, tuple(images)
 
@@ -159,6 +153,27 @@ class _Derivation:
                 base.append(col)
         label = _restricted_label(rs, tuple(base), frozenset(positive))
         return RestrictedRoots(tuple(base), positive, mult, label)
+
+
+def _black_flip(a: Matrix, comp: Sequence[int]) -> Iterable[tuple[int, int]]:
+    """The pairs ``(i, -w0(i))`` of a connected black set, read off its shape.
+
+    -w0 reverses a path of simple bonds (A_k), swaps the two one-node arms
+    of D_k for odd k and the two two-node arms of E6, and fixes every
+    other type.
+    """
+    arms = _arms({i: [j for j in comp if j != i and a[i][j]] for i in comp})
+    if len(arms) == 1:
+        arm = arms[0]
+        return zip(arm, reversed(arm)) if all(a[u][v] == a[v][u] for u, v in zip(arm, arm[1:])) else ()
+    if len(arms) == 3:
+        x, y, z = sorted(arms, key=len)
+        if len(x) != len(y):
+            x, z = z, x
+        # equal arms swap when the third's length has the other parity: D_k, k odd, and E6
+        if len(x) == len(y) and (len(y) + len(z)) % 2:
+            return zip(x + y, y + x)
+    return ()
 
 
 def satake_automorphism(d) -> tuple[int, ...]:

@@ -328,9 +328,10 @@ def apply_word(rs: RootSystem, word: Sequence[int], v: Sequence[int]) -> Coords:
     _check_vector(rs, v)
     for i in word:
         _check_node(rs, i)
+    a = rs.cartan
     out = list(v)
     for i in reversed(word):
-        out[i] -= rs.pairing(out, i)
+        out[i] -= sum(map(mul, a[i], out))
     return tuple(out)
 
 
@@ -453,41 +454,52 @@ def _shape(cartan: Sequence[Sequence[int]]) -> tuple | None:
 
     Accepts a square matrix with 2 on the diagonal, a symmetric zero
     pattern and a connected tree diagram with at most one branch node,
-    as every Dynkin diagram is.  Returns the sorted tuple of its arms,
-    each the bonds ``(a_uv, a_vu)`` read outward from the branch node; a
-    path is read from both ends and the smaller reading kept.  Two
-    accepted matrices have equal shapes exactly when one relabels the
-    other.
+    as every Dynkin diagram is.  Returns the sorted tuple of its
+    ``_arms``, each as its bonds ``(a_uv, a_vu)`` read outward; a path is
+    read from both ends and the smaller reading kept.  Two accepted
+    matrices have equal shapes exactly when one relabels the other.
     """
     n = len(cartan)
     if any(len(row) != n or row[i] != 2 for i, row in enumerate(cartan)):
         return None
-    nbrs = [[j for j, x in enumerate(row) if x and j != i] for i, row in enumerate(cartan)]
-    if sum(map(len, nbrs)) != 2 * (n - 1) or any(
+    nbrs = {i: [j for j, x in enumerate(row) if x and j != i] for i, row in enumerate(cartan)}
+    if sum(map(len, nbrs.values())) != 2 * (n - 1) or any(
         not cartan[j][i] for i in range(n) for j in nbrs[i]
     ):
         return None
-    # With n - 1 edges, reaching every node along the arms below makes the
-    # diagram a tree, and one whose only branch node is the root.
-    branches = [i for i in range(n) if len(nbrs[i]) > 2]
-    root = branches[0] if branches else next(i for i in range(n) if len(nbrs[i]) < 2)
+    arms = _arms(nbrs)
+    if arms is None:
+        return None
+    arms = [tuple((cartan[u][v], cartan[v][u]) for u, v in zip(arm, arm[1:])) for arm in arms]
+    if len(arms) == 1:
+        arms = [min(arms[0], tuple((b, a) for a, b in reversed(arms[0])))]
+    return tuple(sorted(arms))
+
+
+def _arms(nbrs: dict[int, list[int]]) -> list[list[int]] | None:
+    """The arms of a connected diagram given by its neighbour lists.
+
+    Each arm is a node list read outward from the branch node, which
+    starts every arm; a path is one arm, from its first end.  None when
+    the walk misses a node: with one edge fewer than nodes, reaching
+    every node along the arms makes the diagram a tree whose only branch
+    node is the root.
+    """
+    branches = [i for i in nbrs if len(nbrs[i]) > 2]
+    root = branches[0] if branches else next(i for i in nbrs if len(nbrs[i]) < 2)
     seen = {root}
     arms = []
     for v in nbrs[root]:
-        u, bonds = root, []
+        u, arm = root, [root]
         while v not in seen:
             seen.add(v)
-            bonds.append((cartan[u][v], cartan[v][u]))
+            arm.append(v)
             onward = [w for w in nbrs[v] if w != u]
             if not onward:
                 break
             u, v = v, onward[0]
-        arms.append(tuple(bonds))
-    if len(seen) != n:
-        return None
-    if len(arms) == 1:
-        arms = [min(arms[0], tuple((b, a) for a, b in reversed(arms[0])))]
-    return tuple(sorted(arms))
+        arms.append(arm)
+    return arms if len(seen) == len(nbrs) else None
 
 
 @lru_cache(maxsize=None)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import importlib
 import itertools
 import json
 import os
@@ -14,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import satake
-from satake import involution, rootsys
+from satake import classify, involution, rootsys
 from satake.diagram import SatakeDiagram, format_diagram, parse_diagram, validate
 from satake.errors import DiagramDataError
 from satake.involution import (
@@ -32,7 +33,9 @@ from satake.rootsys import (
     _FAMILIES,
     SimpleType,
     _rank_ok,
+    connected_node_sets,
     identity_matrix,
+    induced_node_permutation,
     longest_element,
     mat_mul,
     word_matrix,
@@ -144,6 +147,33 @@ class TestDerivedOnce:
             assert calls["theta"] == 1, rec.name
             assert calls["laws"] == 0, rec.name
 
+    def test_node_map_builds_no_word(self, monkeypatch, full_catalog):
+        # the black flip is read off each component's shape, so only the
+        # lattice involution's white columns need the longest element
+        calls = {"longest_element": 0, "apply_word": 0}
+        for name in calls:
+
+            def wrapper(*args, _name=name, _fn=getattr(rootsys, name)):
+                calls[_name] += 1
+                return _fn(*args)
+
+            monkeypatch.setattr(rootsys, name, wrapper)
+            monkeypatch.setattr(involution, name, wrapper)
+        # a catalog built afresh, so no record holds a derived node map
+        module = importlib.import_module("satake.catalog")
+        monkeypatch.setattr(module, "_catalog_cached", module._catalog_cached.__wrapped__)
+        classify()
+        for rec in full_catalog:
+            d = parse_diagram(rec.text)
+            satake_automorphism(d)
+            real_structure_verdict(d)
+        assert not validate(parse_diagram("A4 black=1,2 arrows=")).ok
+        assert calls == {"longest_element": 0, "apply_word": 0}
+        for rec in full_catalog:
+            calls.update(longest_element=0)
+            restricted_roots(parse_diagram(rec.text))
+            assert calls["longest_element"] <= 1, rec.name
+
     def test_node_map_closes_no_root_system(self):
         # A fresh interpreter, so the per-type root cache starts cold.
         code = (
@@ -193,6 +223,29 @@ class TestAutomorphism:
         except DiagramDataError as e:
             report_failures = list(e.failures)
         assert any(check == "node map breaks the Cartan matrix" for check, _ in report_failures)
+
+
+def _flip_cases():
+    simple = [f"{f}{n}" for f in _FAMILIES for n in range(1, 9) if _rank_ok(f, n)]
+    for types in [[t] for t in simple] + [[t, t] for t in simple if int(t[1:]) <= 4]:
+        n = sum(SimpleType.parse(t).rank for t in types)
+        blacks = itertools.chain.from_iterable(
+            itertools.combinations(range(n), k) for k in range(1, n + 1)
+        )
+        yield pytest.param(types, list(blacks), id="x".join(types))
+    for t in [f"A{k}" for k in range(9, 17)] + [f"D{k}" for k in range(9, 17)]:
+        yield pytest.param([t], [tuple(range(int(t[1:])))], id=f"{t}-all-black")
+
+
+class TestBlackFlip:
+    @pytest.mark.parametrize("types,blacks", _flip_cases())
+    def test_shape_flip_is_the_words_flip(self, types, blacks):
+        # every black set of the types of rank 8 or less, and the full black set above
+        for black in blacks:
+            d = SatakeDiagram(types, black, ())
+            perm, _ = d._node_map
+            for comp in connected_node_sets(d.rs, black):
+                assert {i: perm[i] for i in comp} == induced_node_permutation(d.rs, comp), black
 
 
 class TestRestricted:
