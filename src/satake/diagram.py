@@ -17,7 +17,7 @@ from functools import cached_property
 
 from ._record import Record
 from .errors import DiagramDataError, DiagramParseError
-from .involution import _Derivation, dual_cartan_involution
+from .involution import _Derivation, satake_automorphism
 from .rootsys import _E_SPINE, RootSystem, SimpleType, build_root_system
 
 
@@ -34,6 +34,7 @@ class SatakeDiagram(_Derivation, Record):
     """
 
     _fields = ("types", "black", "arrows")
+    rs: RootSystem  # built by the constructor and kept, outside the key
 
     def __init__(
         self,
@@ -66,7 +67,9 @@ class SatakeDiagram(_Derivation, Record):
                 raise DiagramDataError([("arrow connects a node to itself", tag)])
         arrows = tuple(sorted({(min(i, j), max(i, j)) for i, j in arrows}))
         types = rs.components
-        self.__dict__.update(types=types, black=black, arrows=arrows, _key=(types, black, arrows))
+        self.__dict__.update(
+            types=types, black=black, arrows=arrows, rs=rs, _key=(types, black, arrows)
+        )
 
     @classmethod
     def create(
@@ -76,10 +79,6 @@ class SatakeDiagram(_Derivation, Record):
         arrows: Iterable[tuple[int, int]] = (),
     ) -> "SatakeDiagram":
         return cls(types, black, arrows)
-
-    @cached_property
-    def rs(self) -> RootSystem:
-        return build_root_system(self.types)
 
     @property
     def n(self) -> int:
@@ -135,10 +134,11 @@ def validate(d: SatakeDiagram) -> ValidationReport:
     """Run the structural checks and the node map's Cartan check.
 
     Once the node map passes, the lattice involution's laws hold; the
-    selftest checks them (``involution.involution_failures``).
+    selftest checks them (``involution.involution_failures``).  No Weyl
+    word is built and no root system closed.
     """
     try:
-        dual_cartan_involution(d)
+        satake_automorphism(d)
     except DiagramDataError as e:
         return ValidationReport(False, e.failures)
     return ValidationReport(True, ())

@@ -19,16 +19,19 @@ derived once: ``_Derivation``, mixed into ``SatakeDiagram``, computes the
 stages (node map, lattice involution, corrections, restricted roots) on
 first need and keeps them on the instance, and the public functions read
 them.  A reduced word for the black longest element serves only the
-lattice involution's white columns.  Only the node map checks,
-reporting (check, detail) pairs through ``DiagramDataError``: once it
-passes, the lattice involution's laws are theorems, which
-``involution_failures`` checks for the selftest and the tests.
+lattice involution's white columns, and the involution is kept as its
+matrix alone: the restricted stage forms r - theta(r) for every
+positive root in one pass over them, from the matrix's columns.  Only
+the node map checks, reporting (check, detail) pairs through
+``DiagramDataError``: once it passes, the lattice involution's laws are
+theorems, which ``involution_failures`` checks for the selftest and the
+tests.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Iterable, Sequence
+from collections.abc import Container, Iterable, Sequence
 from functools import cached_property, lru_cache
 from math import lcm
 from operator import add, mul, neg, sub
@@ -85,7 +88,9 @@ class _Derivation:
     and it goes away with the diagram.  The node map holds
     ``(perm, failures)`` and ``satake_automorphism`` raises the
     failures; the later stages reach the node map through it, so they
-    raise its failures and hold no failures of their own.
+    raise its failures and hold no failures of their own.  They reach
+    the lattice involution through ``dual_cartan_involution`` likewise,
+    so each layer's public function is where its work is done.
     """
 
     @cached_property
@@ -106,29 +111,23 @@ class _Derivation:
         return tuple(perm), fails
 
     @cached_property
-    def _theta(self) -> tuple[Matrix, tuple[Coords, ...]]:
-        """The lattice involution and its images of the positive roots."""
+    def _theta(self) -> Matrix:
+        """The lattice involution's matrix; column j is the image of alpha_j."""
         perm = satake_automorphism(self)
         rs = self.rs
-        word = longest_element(rs, self.black)
         # column j is -w0(alpha_perm(j)), which is alpha_j itself for a
         # black j, so the word serves the white columns only
+        word = longest_element(rs, self.black) if self.whites else ()
         cols = [
             rs.simple_root(j) if j in self.black
             else tuple(map(neg, apply_word(rs, word, rs.simple_root(perm[j]))))
             for j in range(self.n)
         ]
-        theta = tuple(zip(*cols))
-        # by linearity, theta(r) = theta(r - alpha_i) + theta(alpha_i),
-        # and the predecessor r - alpha_i comes earlier in height order
-        images: list[Coords] = []
-        for p, i in zip(*rs._predecessors):
-            images.append(cols[i] if p < 0 else tuple(map(add, images[p], cols[i])))
-        return theta, tuple(images)
+        return tuple(zip(*cols))
 
     @cached_property
     def _corrections(self) -> dict[int, dict[int, int]]:
-        theta, _ = self._theta
+        theta = dual_cartan_involution(self)
         out: dict[int, dict[int, int]] = {}
         for i in sorted(self.whites):
             vec = _correction_vector(self, theta, i)
@@ -136,23 +135,27 @@ class _Derivation:
         return out
 
     @cached_property
-    def _restricted(self) -> "RestrictedRoots":
-        theta, images = self._theta
+    def _restricted(self) -> tuple[tuple[Coords, ...], "RestrictedRoots"]:
+        """Each positive root's vector r - theta(r), and the restricted roots.
+
+        By linearity the vector of r is that of its predecessor r - alpha_i
+        plus that of alpha_i, and the predecessor comes earlier in height
+        order, so one pass over the positive roots gives every vector.
+        """
         rs = self.rs
+        cols = zip(*dual_cartan_involution(self))
+        seeds = [tuple(map(sub, e, col)) for e, col in zip(rs._basis, cols)]
+        vectors: list[Coords] = []
+        for p, i in zip(*rs._predecessors):
+            vectors.append(seeds[i] if p < 0 else tuple(map(add, vectors[p], seeds[i])))
         mult: dict[Coords, int] = {}
-        for r, img in zip(rs.positive_roots, images):
-            s = tuple(map(sub, r, img))
+        for s in vectors:
             if any(s):
                 mult[s] = mult.get(s, 0) + 1
         positive = tuple(sorted(mult, key=lambda v: (sum(v), v)))
-        base: list[Coords] = []
-        cols = tuple(zip(*theta))
-        for i in self.whites:
-            col = tuple(map(sub, rs.simple_root(i), cols[i]))
-            if col not in base:
-                base.append(col)
-        label = _restricted_label(rs, tuple(base), frozenset(positive))
-        return RestrictedRoots(tuple(base), positive, mult, label)
+        base = tuple(dict.fromkeys(seeds[i] for i in self.whites))
+        label = _restricted_label(rs, base, mult)
+        return tuple(vectors), RestrictedRoots(base, positive, mult, label)
 
 
 def _black_flip(a: Matrix, comp: Sequence[int]) -> Iterable[tuple[int, int]]:
@@ -221,7 +224,7 @@ def dual_cartan_involution(d) -> Matrix:
     negative root.  A diagram whose node map fails raises
     ``DiagramDataError`` with the node map's failure list.
     """
-    return d._theta[0]
+    return d._theta
 
 
 def involution_failures(d) -> Failures:
@@ -232,7 +235,8 @@ def involution_failures(d) -> Failures:
     Raises ``DiagramDataError`` when the node map fails.
     """
     perm = satake_automorphism(d)
-    theta, images = d._theta
+    theta = d._theta
+    vectors, _ = d._restricted
     rs, n = d.rs, d.n
     fails: list[tuple[str, str]] = []
     if any(perm[perm[i]] != i for i in range(n)):
@@ -244,8 +248,8 @@ def involution_failures(d) -> Failures:
         if cols[j] != rs.simple_root(j):
             fails.append(("involution-fixes-black", f"black simple root {j + 1} moves"))
     pos = rs.positive_root_set
-    for r, img in zip(rs.positive_roots, images):
-        minus = tuple(map(neg, img))
+    for r, v in zip(rs.positive_roots, vectors):
+        img, minus = tuple(map(sub, r, v)), tuple(map(sub, v, r))
         if img not in pos and minus not in pos:
             fails.append(("involution-roots", f"image of root {r} is not a root"))
         elif minus not in pos and any(r[k] for k in d.whites):
@@ -322,17 +326,19 @@ class RestrictedRoots(Record):
 
 
 def restricted_roots(d) -> RestrictedRoots:
-    rr = d._restricted
+    _, rr = d._restricted
     return RestrictedRoots(rr.base, rr.positive, dict(rr.multiplicity), rr.label)
 
 
 def _restricted_label(
-    rs: RootSystem, base: tuple[Coords, ...], positive: frozenset[Coords]
+    rs: RootSystem, base: tuple[Coords, ...], positive: Container[Coords]
 ) -> str | None:
     if not base:
         return None
     r = len(base)
-    gram = [[rs.bilinear(base[i], base[j]) for j in range(r)] for i in range(r)]
+    # B F B^T, reading the symmetric form F by rows
+    half = [[sum(map(mul, row, b)) for row in rs._form] for b in base]
+    gram = [[sum(map(mul, h, b)) for b in base] for h in half]
     if any(gram[i][i] <= 0 for i in range(r)):
         return None
     rows = []
@@ -342,7 +348,8 @@ def _restricted_label(
             return None
         rows.append(tuple(q for q, _ in qr))
     cartan = tuple(rows)
-    non_reduced = any(tuple(2 * x for x in s) in positive for s in positive)
+    # a non-reduced system is BC, whose base holds a root b with 2b a root
+    non_reduced = any(tuple(2 * x for x in b) in positive for b in base)
     labels: list[SimpleType] = []
     for comp in _connected_sets(cartan, range(r)):
         sub = tuple(tuple(cartan[i][j] for j in comp) for i in comp)

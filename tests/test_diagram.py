@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from satake import diagram
 from satake.diagram import (
     SatakeDiagram,
     format_diagram,
@@ -12,7 +13,7 @@ from satake.diagram import (
     validate,
 )
 from satake.errors import DiagramDataError, DiagramParseError
-from satake.rootsys import SimpleType
+from satake.rootsys import SimpleType, build_root_system
 
 
 class TestCreate:
@@ -29,6 +30,18 @@ class TestCreate:
     def test_omega_map(self):
         d = SatakeDiagram.create(["A3"], arrows=[(0, 2)])
         assert d.omega_map == {0: 2, 1: 1, 2: 0}
+
+    def test_root_system_built_once(self, monkeypatch):
+        calls = []
+
+        def counted(types):
+            calls.append(types)
+            return build_root_system(types)
+
+        monkeypatch.setattr(diagram, "build_root_system", counted)
+        d = SatakeDiagram.create(["E6"], black=[2, 3, 4], arrows=[(0, 5)])
+        assert d.rs is build_root_system(d.types) and d.rs.n == 6
+        assert len(calls) == 1
 
     def test_black_out_of_range(self):
         with pytest.raises(DiagramDataError):

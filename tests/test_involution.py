@@ -34,6 +34,7 @@ from satake.rootsys import (
     SimpleType,
     _rank_ok,
     connected_node_sets,
+    identify_cartan,
     identity_matrix,
     induced_node_permutation,
     longest_element,
@@ -168,6 +169,10 @@ class TestDerivedOnce:
             satake_automorphism(d)
             real_structure_verdict(d)
         assert not validate(parse_diagram("A4 black=1,2 arrows=")).ok
+        assert validate(parse_diagram("E8 black=2,3,4,5 arrows=")).ok
+        # a compact form has no white column, so theta is the identity
+        compact = parse_diagram("E8 black=1,2,3,4,5,6,7,8 arrows=")
+        assert dual_cartan_involution(compact) == identity_matrix(8)
         assert calls == {"longest_element": 0, "apply_word": 0}
         for rec in full_catalog:
             calls.update(longest_element=0)
@@ -177,13 +182,17 @@ class TestDerivedOnce:
     def test_node_map_closes_no_root_system(self):
         # A fresh interpreter, so the per-type root cache starts cold.
         code = (
-            "from satake import classify, parse_diagram, real_structure_verdict,"
-            " restricted_roots, satake_automorphism\n"
+            "from satake import black_corrections, classify, dual_cartan_involution,"
+            " parse_diagram, real_structure_verdict, restricted_roots,"
+            " satake_automorphism, validate\n"
             "from satake.rootsys import _component_roots\n"
             "classify()\n"
             "d = parse_diagram('E8 black=2,3,4,5 arrows=')\n"
+            "assert validate(d).ok\n"
             "satake_automorphism(d)\n"
             "real_structure_verdict(d)\n"
+            "dual_cartan_involution(d)\n"
+            "black_corrections(d)\n"
             "print(_component_roots.cache_info().currsize)\n"
             "restricted_roots(d)\n"
             "print(_component_roots.cache_info().currsize)\n"
@@ -372,7 +381,8 @@ def test_exhaustive_validate_matches_golden():
     # Every simple and doubled type of total rank <= 7, every black set and
     # every matching of the white nodes: 14,779 diagrams, 920 accepted.
     # validate checks the node map only; on every diagram it accepts, the
-    # lattice involution's laws must hold all the same.
+    # lattice involution's laws must hold all the same, and the restricted
+    # type must match the pairwise reference.
     simple = [SimpleType(f, r) for f in _FAMILIES for r in range(1, 8) if _rank_ok(f, r)]
     systems = [(t,) for t in simple] + [(t, t) for t in simple if 2 * t.rank <= 7]
     h = hashlib.sha256()
@@ -391,10 +401,42 @@ def test_exhaustive_validate_matches_golden():
                 if report.ok:
                     accepted += 1
                     assert involution_failures(d) == (), format_diagram(d)
+                    rr = restricted_roots(d)
+                    assert rr.label == _reference_label(d.rs, rr), format_diagram(d)
     assert (total, accepted) == (14779, 920)
     assert h.hexdigest() == (
         "074fc256da79abbd9f678c1351600436d70b03f7d6e1e602ca4ca06a8d38e160"
     )
+
+
+def _reference_label(rs, rr):
+    """The restricted type from the Gram matrix built pair by pair and a
+    scan of every positive restricted root for one that is twice another."""
+    if not rr.base:
+        return None
+    gram = [[rs.bilinear(b, c) for c in rr.base] for b in rr.base]
+    if any(gram[i][i] <= 0 for i in range(len(gram))):
+        return None
+    cartan = []
+    for i, g in enumerate(gram):
+        qr = [divmod(2 * x, g[i]) for x in g]
+        if any(rem or (i != j and q > 0) for j, (q, rem) in enumerate(qr)):
+            return None
+        cartan.append(tuple(q for q, _ in qr))
+    labels = []
+    for comp in rootsys._connected_sets(cartan, range(len(cartan))):
+        try:
+            labels.append(identify_cartan(tuple(tuple(cartan[i][j] for j in comp) for i in comp)))
+        except ValueError:
+            return None
+    if not any(tuple(2 * x for x in s) in rr.multiplicity for s in rr.positive):
+        return "+".join(map(str, labels))
+    if len(labels) != 1:
+        return None
+    t = labels[0]
+    if (t.family, t.rank) == ("A", 1):
+        return "BC1"
+    return f"BC{t.rank}" if t.family == "B" else None
 
 
 def _stdlib_json(rr) -> str:
@@ -443,14 +485,16 @@ class TestJsonEqualsStdlibEncoder:
 
 
 def test_root_images_equal_dense_product(full_catalog):
+    # the per-root vectors r - theta(r) of the predecessor recursion
     for rec in full_catalog:
         d = parse_diagram(rec.text)
-        theta, images = d._theta
+        theta = d._theta
+        vectors, _ = d._restricted
         dense = tuple(
-            tuple(sum(row[j] * r[j] for j in range(d.n)) for row in theta)
+            tuple(r[i] - sum(row[j] * r[j] for j in range(d.n)) for i, row in enumerate(theta))
             for r in d.rs.positive_roots
         )
-        assert images == dense, rec.name
+        assert vectors == dense, rec.name
 
 
 class TestWeights:
