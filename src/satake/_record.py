@@ -1,19 +1,27 @@
-"""Base of the package's immutable value classes."""
+"""Base of the package's immutable value classes, and their JSON text."""
 
 
 class Record:
     """An immutable value with named fields.
 
-    Each subclass's ``__init__`` checks its arguments, then sets its
-    fields and ``_key``, the tuple of their values in ``_fields`` order,
-    once, through ``self.__dict__``.  Equality (same class, equal keys),
-    hash and ``repr`` read ``_key``.  Assigning or deleting an attribute
-    raises ``AttributeError``; ``cached_property`` writes the instance
-    dict directly, so cached stages still work and stay outside the key.
+    A subclass declares ``_fields``.  The constructor binds positional and
+    keyword arguments to them, raising ``TypeError`` for a field missing,
+    unknown or given twice, and stores the fields and ``_key``, the tuple
+    of their values in ``_fields`` order, in one write to ``self.__dict__``;
+    a subclass that checks its arguments makes that write itself.  Equality
+    (same class, equal keys), hash and ``repr`` read ``_key``.  Assigning
+    or deleting an attribute raises ``AttributeError``;
+    ``cached_property`` writes the instance dict directly, so cached
+    stages still work and stay outside the key.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != len(self._fields):
+            args = _bind(type(self), args, kwargs)
+        self.__dict__.update(zip(self._fields, args), _key=args)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -32,3 +40,41 @@ class Record:
     def __repr__(self):
         args = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._key))
         return f"{type(self).__qualname__}({args})"
+
+
+def _bind(cls: type[Record], args: tuple, kwargs: dict) -> tuple:
+    """The field values in ``_fields`` order: the keywords must name
+    exactly the fields that follow the positional arguments."""
+    fields = cls._fields
+    rest = fields[len(args):]
+    if len(args) > len(fields) or kwargs.keys() != set(rest):
+        raise TypeError(
+            f"{cls.__qualname__}() takes each of its fields {', '.join(fields)} once;"
+            f" got {len(args)} by position and {', '.join(kwargs) or 'none'} by keyword"
+        )
+    return (*args, *map(kwargs.__getitem__, rest))
+
+
+def _json_list(items: list[str], level: int) -> str:
+    """A JSON list at nesting ``level`` whose items are already indented."""
+    if not items:
+        return "[]"
+    return "[\n" + ",\n".join(items) + "\n" + "  " * level + "]"
+
+
+def _json_object(record: Record, level: int) -> str:
+    """``json.dumps`` of the record's fields as an object, ``indent=2``, at
+    nesting ``level``, a tuple written as a list.  Built directly, with
+    ``json`` quoting each value, as CPython's ``json`` indents only in its
+    pure-Python encoder; field names are identifiers and need no escaping."""
+    import json
+
+    q = json.dumps
+    inner = "  " * (level + 1)
+    items = [
+        f'{inner}"{name}": '
+        + (_json_list([inner + "  " + q(x) for x in value], level + 1)
+           if isinstance(value, tuple) else q(value))
+        for name, value in zip(record._fields, record._key)
+    ]
+    return "{\n" + ",\n".join(items) + "\n" + "  " * level + "}"

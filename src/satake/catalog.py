@@ -17,20 +17,19 @@ from __future__ import annotations
 
 from functools import cached_property, lru_cache
 
-from ._record import Record
+from ._record import Record, _json_list, _json_object
 from .diagram import SatakeDiagram, parse_diagram
 from .errors import UnknownRealFormError
-from .involution import _json_list, permutation_cycles, satake_automorphism
+from .involution import permutation_cycles, satake_automorphism
 from .rootsys import _FAMILIES, MAX_RANK, _rank_ok
 
 Entry = tuple[tuple[str, ...], str]
 
 
 class RealFormRecord(Record):
-    _fields = ("names", "text")
+    """A real form's names, the first the main one, and its diagram text."""
 
-    def __init__(self, names: tuple[str, ...], text: str):
-        self.__dict__.update(names=names, text=text, _key=(names, text))
+    _fields = ("names", "text")
 
     @cached_property
     def diagram(self) -> SatakeDiagram:
@@ -245,20 +244,13 @@ def lookup(name: str, rank_bound: int = 8) -> RealFormRecord:
 
 
 class ClassificationRow(Record):
-    _fields = ("name", "diagram", "automorphism", "is_identity")
+    """A catalog form's name, diagram text and node involution in cycle notation."""
 
-    def __init__(self, name: str, diagram: str, automorphism: str, is_identity: bool):
-        self.__dict__.update(
-            name=name, diagram=diagram, automorphism=automorphism, is_identity=is_identity,
-            _key=(name, diagram, automorphism, is_identity),
-        )
+    _fields = ("name", "diagram", "automorphism", "is_identity")
 
 
 class ClassificationTable(Record):
     _fields = ("rank_bound", "rows")
-
-    def __init__(self, rank_bound: int, rows: tuple[ClassificationRow, ...]):
-        self.__dict__.update(rank_bound=rank_bound, rows=rows, _key=(rank_bound, rows))
 
 
 def classify(rank_bound: int = 8) -> ClassificationTable:
@@ -278,22 +270,12 @@ def classify(rank_bound: int = 8) -> ClassificationTable:
 
 
 def classification_to_json(table: ClassificationTable) -> str:
-    """``json.dumps(payload, indent=2)`` of ``{"rank_bound": ..., "real_forms":
-    [{"name": ..., "diagram": ..., "automorphism": ..., "is_identity": ...},
-    ...]}``.  Built directly, as ``restricted_to_json`` is, with ``json``
-    quoting each value: its indenting encoder is pure Python."""
+    """``json.dumps(payload, indent=2)`` of ``{"rank_bound": ...,
+    "real_forms": [row, ...]}``, each row an object of its fields.  The
+    wrapper is written here, its key differing from the field ``rows``,
+    and each row by ``_json_object``."""
     import json
 
-    q = json.dumps
-    rows = _json_list(
-        [
-            '    {\n      "name": ' + q(row.name)
-            + ',\n      "diagram": ' + q(row.diagram)
-            + ',\n      "automorphism": ' + q(row.automorphism)
-            + ',\n      "is_identity": ' + q(row.is_identity)
-            + "\n    }"
-            for row in table.rows
-        ],
-        1,
-    )
-    return '{\n  "rank_bound": ' + q(table.rank_bound) + ',\n  "real_forms": ' + rows + "\n}"
+    rows = _json_list(["    " + _json_object(row, 2) for row in table.rows], 1)
+    head = '{\n  "rank_bound": ' + json.dumps(table.rank_bound)
+    return head + ',\n  "real_forms": ' + rows + "\n}"

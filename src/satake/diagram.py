@@ -18,7 +18,7 @@ from functools import cached_property
 from ._record import Record
 from .errors import DiagramDataError, DiagramParseError
 from .involution import _Derivation, satake_automorphism
-from .rootsys import _E_SPINE, RootSystem, SimpleType, build_root_system
+from .rootsys import _E_SPINE, RootSystem, SimpleType, _components, build_root_system
 
 
 class SatakeDiagram(_Derivation, Record):
@@ -119,10 +119,9 @@ def _items(value, check: str) -> tuple | frozenset:
 
 
 class ValidationReport(Record):
-    _fields = ("ok", "failures")
+    """``ok``, and the ``(check, detail)`` failures when not."""
 
-    def __init__(self, ok: bool, failures: tuple[tuple[str, str], ...]):
-        self.__dict__.update(ok=ok, failures=failures, _key=(ok, failures))
+    _fields = ("ok", "failures")
 
     def __str__(self) -> str:
         if self.ok:
@@ -175,11 +174,10 @@ def parse_diagram(text: str) -> SatakeDiagram:
     off_black = len(type_part) + 1
     off_arrow = off_black + len(black_part) + 1
     try:
-        types = [SimpleType.parse(t) for t in type_part.split("x")]
-        rs = build_root_system(types)
+        types = _components(type_part.split("x"))
     except ValueError as e:
         raise DiagramParseError(str(e), 0) from e
-    n = rs.n
+    n = sum(t.rank for t in types)
     if not black_part.startswith("black="):
         raise DiagramParseError("expected a 'black=' section", off_black)
     if not arrow_part.startswith("arrows="):

@@ -174,12 +174,6 @@ class RootSystem(Record):
 
     _fields = ("components", "cartan", "symmetrizer")
 
-    def __init__(self, components: tuple[SimpleType, ...], cartan: Matrix, symmetrizer: Coords):
-        self.__dict__.update(
-            components=components, cartan=cartan, symmetrizer=symmetrizer,
-            _key=(components, cartan, symmetrizer),
-        )
-
     @cached_property
     def n(self) -> int:
         return len(self.cartan)
@@ -267,14 +261,8 @@ class RootSystem(Record):
         return sum([x * sum(map(mul, row, w)) for x, row in zip(v, self._form) if x])
 
 
-def build_root_system(types: Sequence[SimpleType | str]) -> RootSystem:
-    """Assemble a root system from one simple type or a doubled pair.
-
-    Accepts ``SimpleType`` values or strings like ``"A3"``; any other
-    component raises ``ValueError``.  A list of length two must repeat
-    the same type (the complex-algebra-as-real case); anything longer is
-    rejected.
-    """
+def _components(types: Sequence[SimpleType | str]) -> tuple[SimpleType, ...]:
+    """The components parsed, one type or two equal ones; else ``ValueError``."""
     comps = tuple(t if isinstance(t, SimpleType) else SimpleType.parse(t) for t in types)
     if not comps:
         raise ValueError("at least one simple type is required")
@@ -282,7 +270,13 @@ def build_root_system(types: Sequence[SimpleType | str]) -> RootSystem:
         raise ValueError("at most two components are supported")
     if len(comps) == 2 and comps[0] != comps[1]:
         raise ValueError(f"a doubled system needs two equal types, got {comps[0]} and {comps[1]}")
-    return _build_cached(comps)
+    return comps
+
+
+def build_root_system(types: Sequence[SimpleType | str]) -> RootSystem:
+    """The root system of one simple type or a doubled pair (a complex algebra
+    as real), each given as a ``SimpleType`` or a string like ``"A3"``."""
+    return _build_cached(_components(types))
 
 
 @lru_cache(maxsize=None)
@@ -529,15 +523,3 @@ def identify_cartan(cartan: Matrix) -> SimpleType:
         raise ValueError("Cartan matrix does not match a simple type")
     return t
 
-
-def longest_negation_nontrivial(t: SimpleType) -> bool:
-    """Whether ``-w0`` of the type is the nontrivial diagram flip.
-
-    True exactly for A_n (n >= 2), D_n (n odd) and E6; every other simple
-    type has ``-w0 = id`` on the diagram.
-    """
-    if t.family == "A":
-        return t.rank >= 2
-    if t.family == "D":
-        return t.rank % 2 == 1
-    return t.family == "E" and t.rank == 6

@@ -19,8 +19,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from ._record import Record
-from .involution import _json_list, satake_automorphism
+from ._record import Record, _json_object
+from .involution import satake_automorphism
 
 CONJUGACY_ORDER = ("unknown", "hypothesis-required", "guaranteed")
 HOMOGENEOUS_ORDER = ("unknown", "not-guaranteed", "exists-unique")
@@ -51,9 +51,7 @@ class SubgroupHypotheses(Record):
     _fields = ("spherical", "self_normalizing")
 
     def __init__(self, spherical: bool = False, self_normalizing: bool = False):
-        self.__dict__.update(
-            spherical=spherical, self_normalizing=self_normalizing, _key=(spherical, self_normalizing)
-        )
+        super().__init__(spherical, self_normalizing)
 
 
 class StructureVerdict(Record):
@@ -65,28 +63,6 @@ class StructureVerdict(Record):
         "citations",
         "caveats",
     )
-
-    def __init__(
-        self,
-        subgroup_conjugacy: str,
-        equivariant_map_exists: bool,
-        real_structure_on_homogeneous_space: str,
-        real_structure_on_completion: str,
-        citations: tuple[str, ...],
-        caveats: tuple[str, ...],
-    ):
-        self.__dict__.update(
-            subgroup_conjugacy=subgroup_conjugacy,
-            equivariant_map_exists=equivariant_map_exists,
-            real_structure_on_homogeneous_space=real_structure_on_homogeneous_space,
-            real_structure_on_completion=real_structure_on_completion,
-            citations=citations,
-            caveats=caveats,
-            _key=(
-                subgroup_conjugacy, equivariant_map_exists, real_structure_on_homogeneous_space,
-                real_structure_on_completion, citations, caveats,
-            ),
-        )
 
 
 def real_structure_verdict(
@@ -133,24 +109,9 @@ def real_structure_verdict(
 
 
 def verdict_to_json(v: StructureVerdict) -> str:
-    return _verdict_json(v)
+    """``json.dumps(payload, indent=2)`` of the fields in order."""
+    return _verdict_json(v, 0)
 
 
 # The decision table yields four verdicts, and the text is immutable.
-@lru_cache(maxsize=16)
-def _verdict_json(v: StructureVerdict) -> str:
-    """``json.dumps(payload, indent=2)`` of the fields in order, the
-    tuples as lists.  Built directly, as ``restricted_to_json`` is, with
-    ``json`` quoting each value."""
-    import json
-
-    q = json.dumps
-    return (
-        '{\n  "subgroup_conjugacy": ' + q(v.subgroup_conjugacy)
-        + ',\n  "equivariant_map_exists": ' + q(v.equivariant_map_exists)
-        + ',\n  "real_structure_on_homogeneous_space": ' + q(v.real_structure_on_homogeneous_space)
-        + ',\n  "real_structure_on_completion": ' + q(v.real_structure_on_completion)
-        + ',\n  "citations": ' + _json_list(["    " + q(c) for c in v.citations], 1)
-        + ',\n  "caveats": ' + _json_list(["    " + q(c) for c in v.caveats], 1)
-        + "\n}"
-    )
+_verdict_json = lru_cache(maxsize=16)(_json_object)

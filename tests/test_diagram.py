@@ -42,6 +42,10 @@ class TestCreate:
         d = SatakeDiagram.create(["E6"], black=[2, 3, 4], arrows=[(0, 5)])
         assert d.rs is build_root_system(d.types) and d.rs.n == 6
         assert len(calls) == 1
+        # the parser checks indices against the ranks without a root system
+        calls.clear()
+        assert parse_diagram("E6 black=3,4,5 arrows=1:6") == d
+        assert len(calls) == 1
 
     def test_black_out_of_range(self):
         with pytest.raises(DiagramDataError):

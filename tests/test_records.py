@@ -140,6 +140,21 @@ def test_fields_are_read_only(cls, fields, changed, text):
     assert a == cls(**fields)
 
 
+@pytest.mark.parametrize("cls, fields, changed, text", CASES, ids=IDS)
+def test_argument_errors(cls, fields, changed, text):
+    names, values = list(fields), list(fields.values())
+    head = dict(zip(names[:-1], values))
+    if cls is SubgroupHypotheses:  # its fields default to False
+        assert cls(**head) == cls(*values[:-1], False)
+    else:
+        with pytest.raises(TypeError):  # the last field missing
+            cls(**head)
+    with pytest.raises(TypeError):  # an unknown keyword
+        cls(*values, extra=1)
+    with pytest.raises(TypeError):  # the first field by position and by keyword
+        cls(*values[:1], **fields)
+
+
 def test_keyword_defaults():
     assert SubgroupHypotheses() == SubgroupHypotheses(False, False)
     assert SubgroupHypotheses(self_normalizing=True) == SubgroupHypotheses(False, True)
