@@ -196,9 +196,9 @@ def normalize_name(name: str) -> str:
 
 def catalog(rank_bound: int = 8) -> tuple[RealFormRecord, ...]:
     """All records with diagram rank at most ``rank_bound`` per component."""
-    if not 1 <= rank_bound <= MAX_RANK:
-        raise ValueError(f"rank bound must be between 1 and {MAX_RANK}")
-    return _catalog_cached(int(rank_bound))
+    if type(rank_bound) is not int or not 1 <= rank_bound <= MAX_RANK:
+        raise ValueError(f"rank bound must be an integer between 1 and {MAX_RANK}")
+    return _catalog_cached(rank_bound)
 
 
 @lru_cache(maxsize=None)
@@ -222,7 +222,7 @@ def _catalog_cached(rank_bound: int) -> tuple[RealFormRecord, ...]:
     return tuple(records)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # True and 8.0 miss 1 and 8, so catalog refuses them
 def _index(rank_bound: int) -> dict[str, RealFormRecord]:
     return {
         normalize_name(name): rec

@@ -13,7 +13,7 @@ second component after the first.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from ._record import Record
 from .errors import DiagramDataError, DiagramParseError
@@ -30,7 +30,8 @@ class SatakeDiagram(_Derivation, Record):
     wrong kind, bad indices, self-arrows, mismatched components);
     semantic consistency is the job of ``validate``.  What is derived
     from the diagram is computed once and kept on the instance (see
-    ``involution``).
+    ``involution``); ``parse_diagram`` shares one instance per text, so
+    accessors hand out immutable values or copies.
     """
 
     _fields = ("types", "black", "arrows")
@@ -92,9 +93,13 @@ class SatakeDiagram(_Derivation, Record):
     def whites(self) -> tuple[int, ...]:
         return tuple(i for i in range(self.n) if i not in self.black)
 
-    @cached_property
+    @property
     def omega_map(self) -> dict[int, int]:
-        """Arrow pairing as a total involution of the white nodes."""
+        """Arrow pairing as a total involution of the white nodes (a copy)."""
+        return dict(self._omega)
+
+    @cached_property
+    def _omega(self) -> dict[int, int]:
         out = {i: i for i in self.whites}
         for i, j in self.arrows:
             if i in out and j in out:
@@ -164,7 +169,17 @@ def _parse_index(item: str, n: int, pos: int) -> int:
 
 
 def parse_diagram(text: str) -> SatakeDiagram:
-    """Parse the canonical one-line format; errors carry a character position."""
+    """Parse the canonical one-line format; errors carry a character position.
+
+    Memoised on the text for callers that parse a literal again (records
+    keep their own diagram), LRU beyond 256 (the default catalog has 205
+    texts): one shared, immutable diagram and derivation per text.
+    Failures are not kept; ``create`` and construction bypass the memo.
+    """
+    return _parse_memo(text)
+
+
+def _parse(text: str) -> SatakeDiagram:
     parts = text.split(" ")
     if len(parts) != 3 or not all(parts):
         raise DiagramParseError(
@@ -208,6 +223,9 @@ def parse_diagram(text: str) -> SatakeDiagram:
             arrows.append((i, j))
             cursor += len(item) + 1
     return SatakeDiagram.create(types, black, arrows)
+
+
+_parse_memo = lru_cache(maxsize=256)(_parse)
 
 
 _EDGE_BY_DROP = {

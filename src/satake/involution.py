@@ -18,10 +18,12 @@ Diagram arguments are ``SatakeDiagram`` instances.  Each diagram is
 derived once: ``_Derivation``, mixed into ``SatakeDiagram``, computes the
 stages (node map, lattice involution, corrections, restricted roots) on
 first need and keeps them on the instance, and the public functions read
-them.  A reduced word for the black longest element serves only the
-lattice involution's white columns, and the involution is kept as its
-matrix alone: the restricted stage forms r - theta(r) for every
-positive root in one pass over them, from the matrix's columns.  Only
+them; ``parse_diagram`` hands out one instance per text, so a parsed
+text is derived once per process.  A reduced word for the black longest
+element serves only the lattice involution's white columns, and the
+involution is kept as its matrix alone: the restricted stage forms
+r - theta(r) for every positive root in one pass, from the matrix's
+columns, and keeps only the restricted roots.  Only
 the node map checks, reporting (check, detail) pairs through
 ``DiagramDataError``: once it passes, the lattice involution's laws are
 theorems, which ``involution_failures`` checks for the selftest and the
@@ -71,7 +73,7 @@ def structural_failures(d) -> Failures:
     fails += [("node in more than one arrow", f"node {k + 1}") for k in sorted(seen) if seen[k] > 1]
     if fails:
         return tuple(fails)
-    omega, a = d.omega_map, d.rs.cartan
+    omega, a = d._omega, d.rs.cartan
     return tuple(
         ("arrows break bond pattern", f"nodes {i + 1},{j + 1} map to {omega[i] + 1},{omega[j] + 1}")
         for i in d.whites
@@ -85,7 +87,8 @@ class _Derivation:
 
     Every stage is a ``cached_property`` computed on first need and kept
     on the instance, so it is computed once however many accessors ask,
-    and it goes away with the diagram.  The node map holds
+    and it goes away with the diagram, which the parse memo shares and
+    keeps while its text stays there.  The node map holds
     ``(perm, failures)`` and ``satake_automorphism`` raises the
     failures; the later stages reach the node map through it, so they
     raise its failures and hold no failures of their own.  They reach
@@ -100,7 +103,7 @@ class _Derivation:
             return (), fails
         perm = list(range(self.n))
         for i in self.whites:
-            perm[i] = self.omega_map[i]
+            perm[i] = self._omega[i]
         a = self.rs.cartan
         for comp in _connected_sets(a, self.black):
             for i, j in _black_flip(a, comp):
@@ -135,27 +138,31 @@ class _Derivation:
         return out
 
     @cached_property
-    def _restricted(self) -> tuple[tuple[Coords, ...], "RestrictedRoots"]:
-        """Each positive root's vector r - theta(r), and the restricted roots.
-
-        By linearity the vector of r is that of its predecessor r - alpha_i
-        plus that of alpha_i, and the predecessor comes earlier in height
-        order, so one pass over the positive roots gives every vector.
-        """
-        rs = self.rs
-        cols = zip(*dual_cartan_involution(self))
-        seeds = [tuple(map(sub, e, col)) for e, col in zip(rs._basis, cols)]
-        vectors: list[Coords] = []
-        for p, i in zip(*rs._predecessors):
-            vectors.append(seeds[i] if p < 0 else tuple(map(add, vectors[p], seeds[i])))
+    def _restricted(self) -> "RestrictedRoots":
+        seeds, vectors = _root_vectors(self)
         mult: dict[Coords, int] = {}
         for s in vectors:
             if any(s):
                 mult[s] = mult.get(s, 0) + 1
         positive = tuple(sorted(mult, key=lambda v: (sum(v), v)))
         base = tuple(dict.fromkeys(seeds[i] for i in self.whites))
-        label = _restricted_label(rs, base, mult)
-        return tuple(vectors), RestrictedRoots(base, positive, mult, label)
+        return RestrictedRoots(base, positive, mult, _restricted_label(self.rs, base, mult))
+
+
+def _root_vectors(d) -> tuple[list[Coords], list[Coords]]:
+    """alpha_j - theta(alpha_j) per simple root, and r - theta(r) per positive root.
+
+    By linearity the vector of r is that of its predecessor r - alpha_i
+    plus that of alpha_i, and the predecessor comes earlier in height
+    order, so one pass over the positive roots gives every vector.
+    """
+    rs = d.rs
+    cols = zip(*dual_cartan_involution(d))
+    seeds = [tuple(map(sub, e, col)) for e, col in zip(rs._basis, cols)]
+    vectors: list[Coords] = []
+    for p, i in zip(*rs._predecessors):
+        vectors.append(seeds[i] if p < 0 else tuple(map(add, vectors[p], seeds[i])))
+    return seeds, vectors
 
 
 def _black_flip(a: Matrix, comp: Sequence[int]) -> Iterable[tuple[int, int]]:
@@ -236,7 +243,7 @@ def involution_failures(d) -> Failures:
     """
     perm = satake_automorphism(d)
     theta = d._theta
-    vectors, _ = d._restricted
+    _, vectors = _root_vectors(d)
     rs, n = d.rs, d.n
     fails: list[tuple[str, str]] = []
     if any(perm[perm[i]] != i for i in range(n)):
@@ -265,7 +272,7 @@ def _correction_vector(d, theta: Matrix, i: int) -> list[int]:
     # theta(alpha_i) = -alpha_{omega(i)} - sum_b c[i][b] alpha_b, so the
     # corrections are the coordinates of -(theta e_i + e_{omega(i)}).
     vec = [-theta[k][i] for k in range(d.n)]
-    vec[d.omega_map[i]] -= 1
+    vec[d._omega[i]] -= 1
     return vec
 
 
@@ -314,7 +321,7 @@ class RestrictedRoots(Record):
 
 
 def restricted_roots(d) -> RestrictedRoots:
-    _, rr = d._restricted
+    rr = d._restricted
     return RestrictedRoots(rr.base, rr.positive, dict(rr.multiplicity), rr.label)
 
 

@@ -143,6 +143,15 @@ def sample_valid_diagrams(count: int, seed: int, rank_bound: int = 8) -> list:
     return out
 
 
+@pytest.fixture(autouse=True)
+def _cold_parse_memo():
+    """Each test starts with an empty parse memo, so counts of derivation
+    work after ``parse_diagram`` do not depend on earlier tests."""
+    from satake import diagram
+
+    diagram._parse_memo.cache_clear()
+
+
 @pytest.fixture(scope="session")
 def full_catalog():
     from satake.catalog import catalog

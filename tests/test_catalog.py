@@ -50,6 +50,13 @@ class TestCatalogBuild:
         with pytest.raises(ValueError):
             catalog(0)
 
+    @pytest.mark.parametrize("bound", [True, 2.9, 8.0])
+    def test_non_int_bound(self, bound):
+        lookup("su(2)", 1)  # the lookup index of 1 must not answer for True
+        for call in (catalog, classify, lambda b: lookup("su(2)", b)):
+            with pytest.raises(ValueError, match="integer between 1 and"):
+                call(bound)
+
     def test_caching_returns_same_tuple(self):
         assert catalog(8) is catalog(8)
 

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import inspect
+
 import pytest
 
-from satake import diagram
+import satake
+from satake import diagram, involution
+from satake.catalog import catalog
 from satake.diagram import (
     SatakeDiagram,
     format_diagram,
@@ -13,6 +17,7 @@ from satake.diagram import (
     validate,
 )
 from satake.errors import DiagramDataError, DiagramParseError
+from satake.involution import dual_cartan_involution
 from satake.rootsys import SimpleType, build_root_system
 
 
@@ -30,6 +35,14 @@ class TestCreate:
     def test_omega_map(self):
         d = SatakeDiagram.create(["A3"], arrows=[(0, 2)])
         assert d.omega_map == {0: 2, 1: 1, 2: 0}
+
+    def test_omega_map_is_a_copy(self):
+        # a parsed diagram is shared, so a caller's edit must not reach it
+        text = "A2 black= arrows="
+        d = parse_diagram(text)
+        d.omega_map[0] = 1
+        assert d.omega_map == {0: 0, 1: 1}
+        assert validate(d).ok and validate(parse_diagram(text)).ok
 
     def test_root_system_built_once(self, monkeypatch):
         calls = []
@@ -189,6 +202,50 @@ class TestTextFormat:
             parse_diagram(text)
         assert exc.value.position == pos
         assert f"position {pos}" in str(exc.value)
+
+
+class TestParseMemo:
+    def test_one_instance_and_one_derivation_per_text(self, monkeypatch):
+        calls = []
+        stage = involution._Derivation.__dict__["_theta"]
+        build = stage.func
+        monkeypatch.setattr(stage, "func", lambda d: calls.append(d) or build(d))
+        d = parse_diagram("E6 black=3,4,5 arrows=1:6")
+        theta = dual_cartan_involution(d)
+        again = parse_diagram("E6 black=3,4,5 arrows=1:6")
+        assert again is d and dual_cartan_involution(again) is theta
+        assert len(calls) == 1
+
+    def test_failures_are_not_kept(self):
+        seen = []
+        for _ in range(2):
+            with pytest.raises(DiagramParseError) as exc:
+                parse_diagram("A2 black=9 arrows=")
+            seen.append((str(exc.value), exc.value.position))
+        assert seen[0] == seen[1] == ("node index 9 out of range 1..2 (at position 9)", 9)
+        assert diagram._parse_memo.cache_info().currsize == 0
+
+    @pytest.mark.parametrize("text", [["A2 black= arrows="], ("A2 black= arrows=",), 5])
+    def test_other_types_are_refused(self, text):
+        with pytest.raises((TypeError, AttributeError)):
+            parse_diagram(text)
+        assert diagram._parse_memo.cache_info().currsize == 0
+
+    def test_create_bypasses_the_memo(self):
+        parse_diagram("A3 black=2 arrows=1:3")
+        for k in range(1000):
+            SatakeDiagram.create(["A3"], black=[k % 3])
+        assert diagram._parse_memo.cache_info().currsize == 1
+
+    def test_memo_holds_the_default_catalog(self):
+        texts = [rec.text for rec in catalog()]
+        assert diagram._parse_memo.cache_info().maxsize >= len(texts)
+        first = [parse_diagram(t) for t in texts]
+        assert all(parse_diagram(t) is d for t, d in zip(texts, first))
+
+    def test_parse_diagram_is_a_plain_function(self):
+        # the benchmark's tracer wraps functions only
+        assert inspect.isfunction(satake.parse_diagram)
 
 
 class TestValidate:

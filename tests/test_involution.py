@@ -489,12 +489,12 @@ def test_root_images_equal_dense_product(full_catalog):
     for rec in full_catalog:
         d = parse_diagram(rec.text)
         theta = d._theta
-        vectors, _ = d._restricted
+        _, vectors = involution._root_vectors(d)
         dense = tuple(
             tuple(r[i] - sum(row[j] * r[j] for j in range(d.n)) for i, row in enumerate(theta))
             for r in d.rs.positive_roots
         )
-        assert vectors == dense, rec.name
+        assert tuple(vectors) == dense, rec.name
 
 
 class TestWeights:

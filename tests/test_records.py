@@ -164,7 +164,7 @@ def test_keyword_defaults():
 
 def test_cached_stages_do_not_change_the_value():
     d = parse_diagram("E6 black=3,4,5 arrows=1:6")
-    fresh = parse_diagram("E6 black=3,4,5 arrows=1:6")
+    fresh = parse_diagram("E6 black=5,4,3 arrows=6:1")  # another text: another instance
     assert restricted_roots(d).label == "BC2"
     assert "_theta" in vars(d) and "_theta" not in vars(fresh)
     assert d == fresh and hash(d) == hash(fresh)
