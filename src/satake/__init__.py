@@ -50,7 +50,6 @@ from .rootsys import (
     identify_cartan,
     induced_node_permutation,
     longest_element,
-    reflect_simple,
     word_matrix,
 )
 from .verdict import (
@@ -95,7 +94,6 @@ __all__ = [
     "parse_diagram",
     "permutation_cycles",
     "real_structure_verdict",
-    "reflect_simple",
     "render_diagram",
     "restricted_roots",
     "restricted_to_json",

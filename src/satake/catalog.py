@@ -222,7 +222,7 @@ def _catalog_cached(rank_bound: int) -> tuple[RealFormRecord, ...]:
     return tuple(records)
 
 
-@lru_cache(maxsize=None, typed=True)  # True and 8.0 miss 1 and 8, so catalog refuses them
+@lru_cache(maxsize=None)
 def _index(rank_bound: int) -> dict[str, RealFormRecord]:
     return {
         normalize_name(name): rec
@@ -233,6 +233,7 @@ def _index(rank_bound: int) -> dict[str, RealFormRecord]:
 
 def lookup(name: str, rank_bound: int = 8) -> RealFormRecord:
     """Find a real form by any of its names; raises UnknownRealFormError."""
+    catalog(rank_bound)  # the bound check, before the index cache is keyed on it
     idx = _index(rank_bound)
     key = normalize_name(name)
     if key not in idx:

@@ -17,7 +17,7 @@ from functools import cached_property, lru_cache
 
 from ._record import Record
 from .errors import DiagramDataError, DiagramParseError
-from .involution import _Derivation, satake_automorphism
+from .involution import _Derivation
 from .rootsys import _E_SPINE, RootSystem, SimpleType, _components, build_root_system
 
 
@@ -135,17 +135,14 @@ class ValidationReport(Record):
 
 
 def validate(d: SatakeDiagram) -> ValidationReport:
-    """Run the structural checks and the node map's Cartan check.
-
-    Once the node map passes, the lattice involution's laws hold; the
-    selftest checks them (``involution.involution_failures``).  No Weyl
-    word is built and no root system closed.
+    """Whether ``d`` is the Satake diagram of some real form: the structural
+    and node-map failures alone, or else one ``"not admissible"`` per white
+    node j the node map fixes with ``<alpha_j, rho_X^vee>`` not integral, X
+    the black set (Araki 1962, J. Math. Osaka City Univ. 13; Kolb 2014, Adv.
+    Math. 267, Def. 2.3(3)).  It builds no Weyl word and closes no root system.
     """
-    try:
-        satake_automorphism(d)
-    except DiagramDataError as e:
-        return ValidationReport(False, e.failures)
-    return ValidationReport(True, ())
+    fails = d._admissibility
+    return ValidationReport(not fails, fails)
 
 
 def format_diagram(d: SatakeDiagram) -> str:

@@ -23,11 +23,14 @@ text is derived once per process.  A reduced word for the black longest
 element serves only the lattice involution's white columns, and the
 involution is kept as its matrix alone: the restricted stage forms
 r - theta(r) for every positive root in one pass, from the matrix's
-columns, and keeps only the restricted roots.  Only
-the node map checks, reporting (check, detail) pairs through
-``DiagramDataError``: once it passes, the lattice involution's laws are
-theorems, which ``involution_failures`` checks for the selftest and the
-tests.
+columns, and keeps only the restricted roots.  The node map checks,
+reporting (check, detail) pairs through ``DiagramDataError``: once it
+passes, the lattice involution's laws are theorems, which
+``involution_failures`` checks for the selftest and the tests.  Araki's
+rule (Araki 1962, J. Math. Osaka City Univ. 13; Kolb 2014, Adv. Math.
+267, Def. 2.3(3)), read by ``validate`` and the verdict only, makes it a
+real form's diagram: each white node j the node map fixes needs
+<alpha_j, rho_X^vee> integral, X the black set, else "not admissible".
 """
 
 from __future__ import annotations
@@ -47,6 +50,7 @@ from .rootsys import (
     SimpleType,
     _arms,
     _connected_sets,
+    _positive_roots_from_cartan,
     apply_word,
     identify_cartan,
     identity_matrix,
@@ -91,9 +95,10 @@ class _Derivation:
     keeps while its text stays there.  The node map holds
     ``(perm, failures)`` and ``satake_automorphism`` raises the
     failures; the later stages reach the node map through it, so they
-    raise its failures and hold no failures of their own.  They reach
-    the lattice involution through ``dual_cartan_involution`` likewise,
-    so each layer's public function is where its work is done.
+    raise its failures, and the lattice involution through
+    ``dual_cartan_involution`` likewise, so each layer's public function
+    is where its work is done.  ``_admissibility`` holds the node map's
+    failures, or else Araki's rule's, for ``validate``.
     """
 
     @cached_property
@@ -112,6 +117,22 @@ class _Derivation:
         if not is_diagram_automorphism(self.rs, perm):
             fails = (("node map breaks the Cartan matrix", _perm_text(perm)),)
         return tuple(perm), fails
+
+    @cached_property
+    def _admissibility(self) -> Failures:
+        """Araki's rule: ``<alpha_j, 2 rho_X^vee>`` even at each white j the node map fixes."""
+        perm, fails = self._node_map
+        if fails:
+            return fails
+        a = self.rs.cartan
+        k: dict[int, int] = {}
+        for comp in _connected_sets(a, self.black):
+            k.update(zip(comp, _coroot_sum(tuple(tuple(a[j][i] for j in comp) for i in comp))))
+        return tuple(
+            ("not admissible", f"white node {j + 1}: <alpha_{j + 1}, rho_X^vee> = {v}/2")
+            for j in self.whites
+            if perm[j] == j and (v := sum(k[b] * a[b][j] for b in k)) % 2
+        )
 
     @cached_property
     def _theta(self) -> Matrix:
@@ -163,6 +184,12 @@ def _root_vectors(d) -> tuple[list[Coords], list[Coords]]:
     for p, i in zip(*rs._predecessors):
         vectors.append(seeds[i] if p < 0 else tuple(map(add, vectors[p], seeds[i])))
     return seeds, vectors
+
+
+@lru_cache(maxsize=128)  # bounded: the simple types up to rank 8 give 41 keys
+def _coroot_sum(cartan_t: Matrix) -> Coords:
+    """2 rho^vee in simple coroots: the positive roots of the transposed Cartan matrix, summed."""
+    return tuple(map(sum, zip(*_positive_roots_from_cartan(cartan_t))))
 
 
 def _black_flip(a: Matrix, comp: Sequence[int]) -> Iterable[tuple[int, int]]:

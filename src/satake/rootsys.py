@@ -236,10 +236,6 @@ class RootSystem(Record):
                 raise RuntimeError(f"positive root {r} has no positive predecessor")
         return tuple(preds), tuple(nodes)
 
-    def is_root(self, v: Sequence[int]) -> bool:
-        t = tuple(v)
-        return t in self.positive_root_set or tuple(-x for x in t) in self.positive_root_set
-
     @cached_property
     def component_nodes(self) -> tuple[tuple[int, ...], ...]:
         out = []
@@ -307,14 +303,6 @@ def _check_node(rs: RootSystem, i: int) -> None:
 def _check_vector(rs: RootSystem, v: Sequence[int]) -> None:
     if len(v) != rs.n:
         raise ValueError(f"vector of length {len(v)} does not fit a rank-{rs.n} system")
-
-
-def reflect_simple(rs: RootSystem, i: int, v: Sequence[int]) -> Coords:
-    """Apply the simple reflection ``s_i``; only coordinate ``i`` changes."""
-    _check_node(rs, i)
-    out = list(v)
-    out[i] -= rs.pairing(v, i)
-    return tuple(out)
 
 
 def apply_word(rs: RootSystem, word: Sequence[int], v: Sequence[int]) -> Coords:

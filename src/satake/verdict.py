@@ -20,6 +20,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from ._record import Record, _json_object
+from .errors import DiagramDataError
 from .involution import satake_automorphism
 
 CONJUGACY_ORDER = ("unknown", "hypothesis-required", "guaranteed")
@@ -68,8 +69,11 @@ class StructureVerdict(Record):
 def real_structure_verdict(
     diagram, hypotheses: SubgroupHypotheses = SubgroupHypotheses()
 ) -> StructureVerdict:
-    """Decision table keyed on the induced node involution and the hypotheses."""
+    """Decision table keyed on the induced node involution and the hypotheses;
+    a diagram that ``validate`` rejects raises ``DiagramDataError``."""
     perm = satake_automorphism(diagram)
+    if diagram._admissibility:
+        raise DiagramDataError(diagram._admissibility)
     identity = perm == tuple(range(len(perm)))
     if not identity:
         return StructureVerdict(

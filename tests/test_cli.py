@@ -152,6 +152,17 @@ def test_invalid_literal_exits_2_with_failures(capsys, query):
     assert "arrow touches black node" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "query", LITERAL_QUERIES + [["show", "{}"], ["verdict", "{}", "--spherical", "--self-normalizing"]]
+)
+def test_literal_of_no_real_form_exits_2(capsys, query):
+    # the node map passes, Araki's rule fails at node 2
+    assert run([a.format("A2 black=1 arrows=") for a in query]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not admissible: white node 2:" in captured.err
+
+
 def test_restricted_json(capsys):
     assert run(["restricted", "su(2,1)", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)

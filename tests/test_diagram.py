@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import inspect
+import itertools
 
 import pytest
+from conftest import node_map_report, positive_roots_by_orbit
 
 import satake
 from satake import diagram, involution
@@ -18,7 +20,7 @@ from satake.diagram import (
 )
 from satake.errors import DiagramDataError, DiagramParseError
 from satake.involution import dual_cartan_involution
-from satake.rootsys import SimpleType, build_root_system
+from satake.rootsys import SimpleType, _rank_ok, build_root_system
 
 
 class TestCreate:
@@ -273,6 +275,126 @@ class TestValidate:
 
     def test_report_str(self):
         assert str(validate(parse_diagram("A2 black= arrows="))) == "ok"
+
+
+def _automorphisms(a) -> list[tuple[int, ...]]:
+    """Every node permutation keeping the Cartan matrix ``a``, found by
+    extending a partial map one node at a time."""
+    n = len(a)
+
+    def extend(perm):
+        i = len(perm)
+        if i == n:
+            yield tuple(perm)
+            return
+        for j in range(n):
+            if j not in perm and all(
+                a[perm[k]][j] == a[k][i] and a[j][perm[k]] == a[i][k] for k in range(i)
+            ):
+                yield from extend(perm + [j])
+
+    return list(extend([]))
+
+
+def _census(types) -> list[SatakeDiagram]:
+    """Every black set with every involutive diagram automorphism omega,
+    arrows on the 2-cycles of omega whose ends are both white."""
+    rs = build_root_system(types)
+    n = rs.n
+    out = []
+    for g in _automorphisms(rs.cartan):
+        if any(g[g[i]] != i for i in range(n)):
+            continue
+        for black in itertools.chain.from_iterable(
+            itertools.combinations(range(n), k) for k in range(n + 1)
+        ):
+            arrows = [(i, g[i]) for i in range(n) if i < g[i] and not {i, g[i]} & set(black)]
+            out.append(SatakeDiagram.create(types, black, arrows))
+    return out
+
+
+def _coroot_pairings(rs) -> list[tuple[frozenset, tuple[int, ...]]]:
+    """Per positive root r, found by reflection closure, its support and
+    ``<alpha_j, r^vee> = 2 B(alpha_j, r) / B(r, r)`` for every node j."""
+    out = []
+    for r in positive_roots_by_orbit(rs):
+        den = rs.bilinear(r, r)
+        nums = [2 * rs.bilinear(rs.simple_root(j), r) for j in range(rs.n)]
+        assert all(x % den == 0 for x in nums)
+        out.append((frozenset(k for k, x in enumerate(r) if x), tuple(x // den for x in nums)))
+    return out
+
+
+def _araki_by_roots(d: SatakeDiagram, coroots) -> bool:
+    """Araki's rule from its definition: for every white node j that the
+    arrows fix, the sum of ``<alpha_j, r^vee>`` over the positive roots r
+    of the black subsystem, 2 <alpha_j, rho_X^vee>, is even."""
+    pairings = [p for support, p in coroots if support <= d.black]
+    return all(
+        sum(p[j] for p in pairings) % 2 == 0 for j, image in d.omega_map.items() if image == j
+    )
+
+
+class TestAraki:
+    """``validate`` accepts exactly the Satake diagrams of real forms."""
+
+    SIMPLE = [SimpleType(f, r) for f in "ABCDEFG" for r in range(1, 9) if _rank_ok(f, r)]
+
+    def _accepted(self, types) -> set:
+        coroots = _coroot_pairings(build_root_system(types))
+        out = set()
+        for d in _census(types):
+            ok = validate(d).ok
+            if node_map_report(d).ok:
+                assert ok == _araki_by_roots(d, coroots), format_diagram(d)
+            if ok:
+                out.add(d)
+        return out
+
+    def test_census_accepts_the_catalog_up_to_automorphisms(self):
+        # 3,606 candidates over the simple types of rank 8 or less; the
+        # accepted ones are the catalog's diagrams and their images under
+        # the diagram automorphisms, none missing and none extra
+        assert sum(len(_census([t])) for t in self.SIMPLE) == 3606
+        accepted = set().union(*(self._accepted([t]) for t in self.SIMPLE))
+        closure = {
+            SatakeDiagram.create(
+                d.types, [g[i] for i in d.black], [(g[i], g[j]) for i, j in d.arrows]
+            )
+            for d in (rec.diagram for rec in catalog() if not rec.diagram.is_doubled)
+            for g in _automorphisms(d.rs.cartan)
+        }
+        assert (len(accepted - closure), len(closure - accepted)) == (0, 0)
+        assert len(accepted) == 179
+
+    @pytest.mark.parametrize("t", [t for t in SIMPLE if t.rank <= 4], ids=str)
+    def test_doubled_types(self, t):
+        # a real form of TxT is a pair of real forms of T, k * k diagrams
+        # with k those T accepts, or the complex algebra as real, whose
+        # arrows pair node i with node n + g(i), one diagram for each of
+        # the s automorphisms g of T
+        k = len(self._accepted([t]))
+        s = len(_automorphisms(build_root_system([t]).cartan))
+        assert len(self._accepted([t, t])) == k * k + s
+
+    def test_pinned_examples(self):
+        report = validate(parse_diagram("A2 black=1 arrows="))
+        assert report.failures == (
+            ("not admissible", "white node 2: <alpha_2, rho_X^vee> = -1/2"),
+        )
+        assert validate(parse_diagram("A3xA3 black= arrows=")).ok
+        assert [rec.name for rec in catalog(16) if not validate(rec.diagram).ok] == []
+
+    def test_node_map_failures_come_alone(self):
+        # the black A1 on node 5 fails Araki's rule at nodes 4 and 6, but
+        # the black A2's flip breaks the node map, which is reported alone
+        report = validate(parse_diagram("A6 black=1,2,5 arrows="))
+        assert [check for check, _ in report.failures] == ["node map breaks the Cartan matrix"]
+        # every failing node is listed
+        report = validate(parse_diagram("A5 black=2,4 arrows="))
+        assert [detail.split(":")[0] for _, detail in report.failures] == [
+            "white node 1", "white node 5"
+        ]
 
 
 class TestRender:

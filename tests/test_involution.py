@@ -13,6 +13,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from conftest import node_map_report
 
 import satake
 from satake import classify, involution, rootsys
@@ -379,14 +380,14 @@ def _matchings(nodes):
 
 def test_exhaustive_validate_matches_golden():
     # Every simple and doubled type of total rank <= 7, every black set and
-    # every matching of the white nodes: 14,779 diagrams, 920 accepted.
-    # validate checks the node map only; on every diagram it accepts, the
-    # lattice involution's laws must hold all the same, and the restricted
-    # type must match the pairwise reference.
+    # every matching of the white nodes: 14,779 diagrams, 920 accepted by
+    # the node map and 266 of those also by Araki's rule.  On every diagram
+    # the node map accepts, the lattice involution's laws must hold all the
+    # same, and the restricted type must match the pairwise reference.
     simple = [SimpleType(f, r) for f in _FAMILIES for r in range(1, 8) if _rank_ok(f, r)]
     systems = [(t,) for t in simple] + [(t, t) for t in simple if 2 * t.rank <= 7]
-    h = hashlib.sha256()
-    total = accepted = 0
+    h, h_valid = hashlib.sha256(), hashlib.sha256()
+    total = accepted = valid = 0
     for types in systems:
         n = sum(t.rank for t in types)
         for black in itertools.chain.from_iterable(
@@ -395,17 +396,25 @@ def test_exhaustive_validate_matches_golden():
             whites = tuple(i for i in range(n) if i not in black)
             for arrows in _matchings(whites):
                 d = SatakeDiagram.create(types, black, arrows)
-                report = validate(d)
+                report = node_map_report(d)
                 h.update(f"{format_diagram(d)}\t{report}\n".encode())
+                full = validate(d)
+                h_valid.update(f"{format_diagram(d)}\t{full}\n".encode())
                 total += 1
+                valid += full.ok
                 if report.ok:
                     accepted += 1
                     assert involution_failures(d) == (), format_diagram(d)
                     rr = restricted_roots(d)
                     assert rr.label == _reference_label(d.rs, rr), format_diagram(d)
-    assert (total, accepted) == (14779, 920)
+                else:
+                    assert full == report, format_diagram(d)
+    assert (total, accepted, valid) == (14779, 920, 266)
     assert h.hexdigest() == (
         "074fc256da79abbd9f678c1351600436d70b03f7d6e1e602ca4ca06a8d38e160"
+    )
+    assert h_valid.hexdigest() == (
+        "ecd8705f7722df59644b5b456a534f54c6f82f97bc9f232f43d195d482b0974f"
     )
 
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import enumerate_weyl, positive_roots_by_orbit
+from conftest import enumerate_weyl, is_root, positive_roots_by_orbit, reflect_simple
 from satake import rootsys
 from satake.rootsys import (
     SimpleType,
@@ -23,7 +23,6 @@ from satake.rootsys import (
     is_diagram_automorphism,
     longest_element,
     mat_mul,
-    reflect_simple,
     subdiagram_cartan,
     word_matrix,
 )
@@ -179,10 +178,10 @@ class TestPositiveRoots:
 
     def test_is_root(self):
         rs = _sys("A2")
-        assert rs.is_root((1, 1))
-        assert rs.is_root((-1, -1))
-        assert not rs.is_root((2, 1))
-        assert not rs.is_root((0, 0))
+        assert is_root(rs, (1, 1))
+        assert is_root(rs, (-1, -1))
+        assert not is_root(rs, (2, 1))
+        assert not is_root(rs, (0, 0))
 
 
 class TestLongestElement:

@@ -9,6 +9,8 @@ from pathlib import Path
 import pytest
 
 from satake.catalog import lookup
+from satake.diagram import parse_diagram
+from satake.errors import DiagramDataError
 from satake.verdict import (
     COMPLETION_ORDER,
     CONJUGACY_ORDER,
@@ -34,6 +36,15 @@ def test_golden_fixtures(tag, name, hyp):
     v = real_structure_verdict(lookup(name).diagram, hyp)
     expected = (GOLDEN / f"verdict_{tag}.json").read_text()
     assert verdict_to_json(v) + "\n" == expected
+
+
+@pytest.mark.parametrize("hyp", [SubgroupHypotheses(), SubgroupHypotheses(True, True)])
+def test_diagram_of_no_real_form_is_refused(hyp):
+    with pytest.raises(DiagramDataError) as exc:
+        real_structure_verdict(parse_diagram("A2 black=1 arrows="), hyp)
+    assert exc.value.failures == (
+        ("not admissible", "white node 2: <alpha_2, rho_X^vee> = -1/2"),
+    )
 
 
 def test_json_is_the_value_of_the_verdict():
