@@ -7,16 +7,6 @@ induced involution is trivial, and report what that implies for real
 structures on spherical homogeneous spaces.
 """
 
-from .catalog import (
-    ClassificationRow,
-    ClassificationTable,
-    RealFormRecord,
-    catalog,
-    classification_to_json,
-    classify,
-    lookup,
-    normalize_name,
-)
 from .diagram import (
     SatakeDiagram,
     ValidationReport,
@@ -41,6 +31,16 @@ from .involution import (
     restricted_roots,
     restricted_to_json,
     satake_automorphism,
+)
+from .realforms import (
+    ClassificationRow,
+    ClassificationTable,
+    RealFormRecord,
+    catalog,
+    classification_to_json,
+    classify,
+    lookup,
+    normalize_name,
 )
 from .rootsys import (
     RootSystem,

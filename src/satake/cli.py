@@ -14,7 +14,6 @@ import signal
 import sys
 
 from . import __version__
-from .catalog import RealFormRecord, catalog, classification_to_json, classify, lookup
 from .diagram import SatakeDiagram, format_diagram, parse_diagram, render_diagram, validate
 from .errors import DiagramDataError, DiagramParseError, UnknownRealFormError
 from .involution import (
@@ -26,6 +25,7 @@ from .involution import (
     restricted_to_json,
     satake_automorphism,
 )
+from .realforms import RealFormRecord, catalog, classification_to_json, classify, lookup
 from .rootsys import connected_node_sets, induced_node_permutation
 from .verdict import SubgroupHypotheses, real_structure_verdict, verdict_to_json
 
@@ -277,13 +277,7 @@ def run(argv: list[str] | None = None) -> int:
     except UnknownRealFormError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except DiagramParseError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except DiagramDataError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except ValueError as e:
+    except (DiagramParseError, DiagramDataError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

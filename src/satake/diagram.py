@@ -129,9 +129,7 @@ class ValidationReport(Record):
     _fields = ("ok", "failures")
 
     def __str__(self) -> str:
-        if self.ok:
-            return "ok"
-        return "; ".join(f"{check}: {detail}" for check, detail in self.failures)
+        return "ok" if self.ok else str(DiagramDataError(self.failures))
 
 
 def validate(d: SatakeDiagram) -> ValidationReport:
@@ -168,9 +166,9 @@ def _parse_index(item: str, n: int, pos: int) -> int:
 def parse_diagram(text: str) -> SatakeDiagram:
     """Parse the canonical one-line format; errors carry a character position.
 
-    Memoised on the text for callers that parse a literal again (records
-    keep their own diagram), LRU beyond 256 (the default catalog has 205
-    texts): one shared, immutable diagram and derivation per text.
+    Memoised on the text, LRU beyond 256 (the default catalog has 205
+    texts): one shared, immutable diagram and derivation per text, and
+    the one cache of a catalog record's diagram.
     Failures are not kept; ``create`` and construction bypass the memo.
     """
     return _parse_memo(text)

@@ -15,7 +15,7 @@ as separate records under their own names.
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from ._record import Record, _json_list, _json_object
 from .diagram import SatakeDiagram, parse_diagram
@@ -31,9 +31,9 @@ class RealFormRecord(Record):
 
     _fields = ("names", "text")
 
-    @cached_property
+    @property
     def diagram(self) -> SatakeDiagram:
-        """The parsed ``text``; parsed on first access, so a lookup pays for one."""
+        """``parse_diagram(text)``, whose memo is the one cache of the diagram."""
         return parse_diagram(self.text)
 
     @property
@@ -198,11 +198,12 @@ def catalog(rank_bound: int = 8) -> tuple[RealFormRecord, ...]:
     """All records with diagram rank at most ``rank_bound`` per component."""
     if type(rank_bound) is not int or not 1 <= rank_bound <= MAX_RANK:
         raise ValueError(f"rank bound must be an integer between 1 and {MAX_RANK}")
-    return _catalog_cached(rank_bound)
+    return _catalog_cached(rank_bound)[0]
 
 
 @lru_cache(maxsize=None)
-def _catalog_cached(rank_bound: int) -> tuple[RealFormRecord, ...]:
+def _catalog_cached(rank_bound: int) -> tuple[tuple[RealFormRecord, ...], dict[str, RealFormRecord]]:
+    """The records and their index by normalised name; a repeated name raises."""
     entries: list[Entry] = []
     entries += _a_entries(rank_bound)
     entries += _b_entries(rank_bound)
@@ -211,30 +212,22 @@ def _catalog_cached(rank_bound: int) -> tuple[RealFormRecord, ...]:
     entries += _exceptional_entries(rank_bound)
     entries += _doubled_entries(rank_bound)
     records = []
-    seen: dict[str, str] = {}
+    index: dict[str, RealFormRecord] = {}
     for names, text in entries:
+        rec = RealFormRecord(tuple(names), text)
         for name in names:
             key = normalize_name(name)
-            if key in seen:
-                raise RuntimeError(f"name {name!r} appears in {seen[key]!r} and {text!r}")
-            seen[key] = text
-        records.append(RealFormRecord(tuple(names), text))
-    return tuple(records)
-
-
-@lru_cache(maxsize=None)
-def _index(rank_bound: int) -> dict[str, RealFormRecord]:
-    return {
-        normalize_name(name): rec
-        for rec in catalog(rank_bound)
-        for name in rec.names
-    }
+            if key in index:
+                raise RuntimeError(f"name {name!r} appears in {index[key].text!r} and {text!r}")
+            index[key] = rec
+        records.append(rec)
+    return tuple(records), index
 
 
 def lookup(name: str, rank_bound: int = 8) -> RealFormRecord:
     """Find a real form by any of its names; raises UnknownRealFormError."""
-    catalog(rank_bound)  # the bound check, before the index cache is keyed on it
-    idx = _index(rank_bound)
+    catalog(rank_bound)  # the bound check, before the cache is keyed on it
+    idx = _catalog_cached(rank_bound)[1]
     key = normalize_name(name)
     if key not in idx:
         import difflib

@@ -71,9 +71,9 @@ def real_structure_verdict(
 ) -> StructureVerdict:
     """Decision table keyed on the induced node involution and the hypotheses;
     a diagram that ``validate`` rejects raises ``DiagramDataError``."""
+    if fails := diagram._admissibility:
+        raise DiagramDataError(fails)
     perm = satake_automorphism(diagram)
-    if diagram._admissibility:
-        raise DiagramDataError(diagram._admissibility)
     identity = perm == tuple(range(len(perm)))
     if not identity:
         return StructureVerdict(

@@ -183,7 +183,7 @@ def _cold_parse_memo():
 
 @pytest.fixture(scope="session")
 def full_catalog():
-    from satake.catalog import catalog
+    from satake.realforms import catalog
 
     return catalog()
 

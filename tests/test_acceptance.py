@@ -17,7 +17,7 @@ from contextlib import contextmanager
 from pathlib import Path
 
 from conftest import enumerate_weyl, positive_roots_by_orbit
-from satake.catalog import catalog, classify, lookup
+from satake.realforms import catalog, classify, lookup
 from satake.diagram import format_diagram, parse_diagram
 from satake.involution import (
     black_corrections,

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import satake
-from satake.catalog import (
+from satake.realforms import (
     ClassificationRow,
     ClassificationTable,
     catalog,
@@ -63,8 +63,10 @@ class TestCatalogBuild:
     def test_diagrams_parse_on_first_access(self):
         # A fresh interpreter, so the module-level caches start cold.
         code = (
-            "from satake.catalog import catalog, lookup\n"
-            "parsed = lambda: sum('diagram' in vars(rec) for rec in catalog())\n"
+            "from satake import diagram\n"
+            "from satake.realforms import catalog, lookup\n"
+            "catalog()\n"
+            "parsed = lambda: diagram._parse_memo.cache_info().currsize\n"
             "print(parsed())\n"
             "lookup('e8(-24)').diagram\n"
             "print(parsed())\n"
@@ -74,6 +76,35 @@ class TestCatalogBuild:
             [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
         )
         assert proc.stdout.split() == ["0", "1"]
+
+    def test_records_pin_no_diagram(self):
+        # A fresh interpreter; bound 16 has 597 texts, more than the memo keeps.
+        code = (
+            "from satake import catalog, classify, diagram, lookup, parse_diagram\n"
+            "classify(16)\n"
+            "print(sum('diagram' in vars(rec) for rec in catalog(16)))\n"
+            "print(diagram._parse_memo.cache_info().currsize)\n"
+            "print(lookup('e8(-24)').diagram is parse_diagram('E8 black=2,3,4,5 arrows='))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(satake.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+        )
+        pinned, memo_size, shared = proc.stdout.split()
+        assert pinned == "0"
+        assert int(memo_size) <= 256
+        assert shared == "True"
+
+    def test_repeated_name_raises(self, monkeypatch):
+        import satake.realforms as realforms
+
+        builder = realforms._exceptional_entries
+        repeat = (("SU(2)",), "G2 black=1 arrows=")
+        monkeypatch.setattr(realforms, "_exceptional_entries", lambda b: builder(b) + [repeat])
+        with pytest.raises(RuntimeError, match="SU\\(2\\)") as exc:
+            realforms._catalog_cached.__wrapped__(8)
+        assert "'A1 black=1 arrows='" in str(exc.value)
+        assert "'G2 black=1 arrows='" in str(exc.value)
 
 
 class TestLookup:

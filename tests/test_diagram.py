@@ -10,7 +10,7 @@ from conftest import node_map_report, positive_roots_by_orbit
 
 import satake
 from satake import diagram, involution
-from satake.catalog import catalog
+from satake.realforms import catalog
 from satake.diagram import (
     SatakeDiagram,
     format_diagram,

@@ -162,7 +162,7 @@ class TestDerivedOnce:
             monkeypatch.setattr(rootsys, name, wrapper)
             monkeypatch.setattr(involution, name, wrapper)
         # a catalog built afresh, so no record holds a derived node map
-        module = importlib.import_module("satake.catalog")
+        module = importlib.import_module("satake.realforms")
         monkeypatch.setattr(module, "_catalog_cached", module._catalog_cached.__wrapped__)
         classify()
         for rec in full_catalog:

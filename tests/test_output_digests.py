@@ -18,7 +18,7 @@ import json
 from contextlib import redirect_stdout
 from pathlib import Path
 
-from satake.catalog import catalog
+from satake.realforms import catalog
 from satake.cli import run
 
 PATH = Path(__file__).parent / "golden" / "output_digests.json"

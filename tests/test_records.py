@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import pytest
 
-from satake.catalog import ClassificationRow, ClassificationTable, RealFormRecord
+from satake.realforms import ClassificationRow, ClassificationTable, RealFormRecord
 from satake.diagram import SatakeDiagram, ValidationReport, parse_diagram
 from satake.involution import RestrictedRoots, restricted_roots
 from satake.rootsys import RootSystem, SimpleType, build_root_system

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from satake.catalog import lookup
+from satake.realforms import lookup
 from satake.diagram import parse_diagram
 from satake.errors import DiagramDataError
 from satake.verdict import (
