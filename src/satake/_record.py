@@ -44,15 +44,20 @@ class Record:
 
 def _bind(cls: type[Record], args: tuple, kwargs: dict) -> tuple:
     """The field values in ``_fields`` order: the keywords must name
-    exactly the fields that follow the positional arguments."""
+    exactly the fields that follow the positional arguments, so each of
+    those is looked up in order and no keyword may be left over."""
     fields = cls._fields
     rest = fields[len(args):]
-    if len(args) > len(fields) or kwargs.keys() != set(rest):
+    try:
+        values = (*args, *map(kwargs.__getitem__, rest))
+    except KeyError:
+        values = ()
+    if len(values) != len(fields) or len(kwargs) != len(rest):
         raise TypeError(
             f"{cls.__qualname__}() takes each of its fields {', '.join(fields)} once;"
             f" got {len(args)} by position and {', '.join(kwargs) or 'none'} by keyword"
         )
-    return (*args, *map(kwargs.__getitem__, rest))
+    return values
 
 
 def _json_list(items: list[str], level: int) -> str:

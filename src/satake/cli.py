@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import signal
 import sys
 
@@ -173,11 +174,11 @@ def _cmd_restricted(args: argparse.Namespace) -> int:
 
 def _cmd_weights(args: argparse.Namespace) -> int:
     _, d = _resolve(args, args.name)
-    try:
-        coords = tuple(int(c) for c in args.coords.split(","))
-    except ValueError:
+    # int() alone would also take "1_0", " 1" and non-ASCII digits
+    items = args.coords.split(",")
+    if not all(re.fullmatch("[+-]?[0-9]+", c) for c in items):
         raise ValueError(f"coordinates must be comma-separated integers, got {args.coords!r}")
-    out = act_on_weight(satake_automorphism(d), coords)
+    out = act_on_weight(satake_automorphism(d), tuple(map(int, items)))
     print(",".join(str(c) for c in out))
     return 0
 

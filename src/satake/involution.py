@@ -38,6 +38,7 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Container, Iterable, Sequence
 from functools import cached_property, lru_cache
+from itertools import repeat
 from math import lcm
 from operator import add, mul, neg, sub
 
@@ -399,37 +400,43 @@ def base_coordinates(base: Sequence[Coords], vec: Coords) -> tuple:
     Precondition: every base vector has a private coordinate, one where
     it alone of the base is nonzero.  Every restricted base has one: the
     image of a white node is its only base vector with that node in its
-    support.  Each coefficient is read off there, then one integer check
-    confirms the combination equals ``vec``.  Raises ValueError when a
-    base vector has no private coordinate, ``vec`` is not in the span,
-    or the lengths differ.
+    support.  Each coefficient is read off there as the integer ``den``
+    times it, so at each read-off coordinate the combination is ``den *
+    vec`` by construction, and the span check compares the others only.
+    Raises ValueError when a base vector has no private coordinate,
+    ``vec`` is not in the span, or the lengths differ.
     """
     base = tuple(map(tuple, base))
-    private, scale, den, columns = _base_data(base, len(vec))
+    private, scale, den, checks = _base_data(base, len(vec))
     xs = [c * vec[k] for k, c in zip(private, scale)]
-    if [sum(map(mul, xs, col)) for col in columns] != [den * y for y in vec]:
-        raise ValueError("vector is not in the span of the base")
-    return tuple(_fraction(x, den) for x in xs)
+    for k, col in checks:
+        if sum(map(mul, xs, col)) != den * vec[k]:
+            raise ValueError("vector is not in the span of the base")
+    return tuple(map(_fraction, xs, repeat(den)))
 
 
 # Bounded: a caller asks for many vectors against one base in a row.
 @lru_cache(maxsize=64)
-def _base_data(base: tuple[Coords, ...], n: int) -> tuple[Coords, Coords, int, Matrix]:
-    """Per base vector, its private coordinate (the first where it alone
+def _base_data(base: tuple[Coords, ...], n: int) -> tuple:
+    """Per base vector, its private coordinate k (the first where it alone
     of the base is nonzero) and ``den // entry`` there, for ``den`` the
-    lcm of those entries; then ``den`` and the base's ``n`` columns."""
+    lcm of those entries; then ``den`` and every other column of the
+    base, with its index.  A read-off column needs no check: only its
+    vector is nonzero there, its scaled coefficient is ``den // entry *
+    vec[k]``, so the combination there is ``den * vec[k]`` for any vec."""
     if any(len(b) != n for b in base):
         raise ValueError("base vectors and the vector differ in length")
-    columns = tuple(tuple(b[k] for b in base) for k in range(n))
-    support = [sum(1 for x in col if x) for col in columns]
+    columns = tuple(zip(*base)) if base else ((),) * n
+    solo = [k for k, col in enumerate(columns) if len(col) - col.count(0) == 1]
     private: list[int] = []
     for b in base:
-        k = next((k for k, x in enumerate(b) if x and support[k] == 1), None)
+        k = next((k for k in solo if b[k]), None)
         if k is None:
             raise ValueError(f"base vector {b} has no private coordinate")
         private.append(k)
     den = lcm(*(b[k] for k, b in zip(private, base)))
-    return tuple(private), tuple(den // b[k] for k, b in zip(private, base)), den, columns
+    checks = tuple((k, col) for k, col in enumerate(columns) if k not in private)
+    return tuple(private), tuple(den // b[k] for k, b in zip(private, base)), den, checks
 
 
 # Immutable and shared: restricted coordinates are a few small rationals.
@@ -467,7 +474,8 @@ def _label_json(label: str | None) -> str:
 
 
 def _coords_json(v: Coords, level: int) -> str:
-    return _json_list([_half_json(c, level + 1) for c in v], level)
+    items = ",\n".join(map(_half_json, v, repeat(level + 1)))
+    return f"[\n{items}\n{'  ' * level}]" if items else "[]"
 
 
 def restricted_to_json(rr: RestrictedRoots) -> str:
@@ -481,12 +489,10 @@ def restricted_to_json(rr: RestrictedRoots) -> str:
     encoder, and a generic writer was 20 times slower on these payloads.
     """
     base = _json_list(["    " + _coords_json(v, 2) for v in rr.base], 1)
+    mult = rr.multiplicity
     positive = _json_list(
-        [
-            '    {\n      "root": ' + _coords_json(v, 3)
-            + ',\n      "multiplicity": ' + str(rr.multiplicity[v]) + "\n    }"
-            for v in rr.positive
-        ],
+        [f'    {{\n      "root": {_coords_json(v, 3)},\n      "multiplicity": {mult[v]}\n    }}'
+         for v in rr.positive],
         1,
     )
     return (

@@ -47,11 +47,15 @@ _COMPLETION_CAVEAT = (
 
 
 class SubgroupHypotheses(Record):
-    """What is assumed about the subgroup defining the homogeneous space."""
+    """What is assumed about the subgroup defining the homogeneous space;
+    each field is a ``bool``, and ``"no"`` or ``0`` raises ``TypeError``."""
 
     _fields = ("spherical", "self_normalizing")
 
     def __init__(self, spherical: bool = False, self_normalizing: bool = False):
+        for name, value in zip(self._fields, (spherical, self_normalizing)):
+            if not isinstance(value, bool):
+                raise TypeError(f"SubgroupHypotheses.{name} must be a bool, got {value!r}")
         super().__init__(spherical, self_normalizing)
 
 

@@ -195,6 +195,20 @@ def test_weights_bad_coords(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("coords", ["1_0,0", " 1,0", "1,0 ", "\u0661,0", "+-1,0", "1,,0", "0x1,0"])
+def test_weights_accept_only_ascii_integers(capsys, coords):
+    # int() alone would read the first four as integers
+    assert run(["weights", "sl(3,R)", coords]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "comma-separated integers" in captured.err
+
+
+def test_weights_accept_a_sign(capsys):
+    assert run(["weights", "su(2,1)", "+1,-0"]) == 0
+    assert capsys.readouterr().out.strip() == "0,1"
+
+
 def test_verdict_json_matches_golden(capsys):
     assert run(["verdict", "sl(3,R)", "--spherical", "--self-normalizing", "--json"]) == 0
     out = capsys.readouterr().out

@@ -14,6 +14,8 @@ from pathlib import Path
 
 import pytest
 from conftest import node_map_report
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import satake
 from satake import classify, involution, rootsys
@@ -492,6 +494,11 @@ class TestJsonEqualsStdlibEncoder:
         )
         assert restricted_to_json(rr) == _stdlib_json(rr)
 
+    def test_empty_vectors(self):
+        # no diagram yields one, but a hand-built record still gets json's "[]"
+        rr = involution.RestrictedRoots(base=((),), positive=((),), multiplicity={(): 1}, label=None)
+        assert restricted_to_json(rr) == _stdlib_json(rr)
+
 
 def test_root_images_equal_dense_product(full_catalog):
     # the per-root vectors r - theta(r) of the predecessor recursion
@@ -534,3 +541,71 @@ def test_base_coordinates_against_read_offs(full_catalog, random_diagrams_500):
         for v in rr.positive:
             want = tuple(Fraction(v[k], b[k]) for k, b in zip(private, rr.base))
             assert base_coordinates(rr.base, v) == want, format_diagram(d)
+
+
+def _span_solve(base, vec):
+    """The coordinates of ``vec`` in the span of ``base`` by Gauss-Jordan
+    elimination over ``Fraction``s, or None when it lies outside."""
+    m = len(base)
+    rows = [[Fraction(b[k]) for b in base] + [Fraction(vec[k])] for k in range(len(vec))]
+    pivots = []
+    for c in range(m):
+        r = next((r for r in range(len(pivots), len(rows)) if rows[r][c]), None)
+        if r is None:
+            continue
+        rows[len(pivots)], rows[r] = rows[r], rows[len(pivots)]
+        top = rows[len(pivots)]
+        top[:] = [x / top[c] for x in top]
+        for row in rows:
+            if row is not top and row[c]:
+                row[:] = [x - row[c] * y for x, y in zip(row, top)]
+        pivots.append(c)
+    if any(row[m] for row in rows[len(pivots):]):
+        return None
+    assert len(pivots) == m  # private coordinates make the base independent
+    return tuple(rows[i][m] for i in range(m))
+
+
+@st.composite
+def _base_and_vector(draw):
+    """A base whose vectors each own one or two private columns (two
+    equal ones, as in a doubled type, or two unrelated ones), a few
+    shared columns, the columns shuffled; and a vector that is an
+    integer combination divided by a small integer that divides it, or
+    is arbitrary."""
+    nonzero = st.integers(-4, 4).filter(bool)
+    m = draw(st.integers(0, 4))
+    columns = []
+    for i in range(m):
+        entry = draw(nonzero)
+        owned = [entry]
+        if draw(st.booleans()):
+            owned.append(entry if draw(st.booleans()) else draw(nonzero))
+        columns += [tuple(x if j == i else 0 for j in range(m)) for x in owned]
+    columns += draw(st.lists(st.tuples(*[st.integers(-3, 3)] * m), max_size=3))
+    columns = draw(st.permutations(columns)) if columns else [()]
+    base = tuple(zip(*columns))
+    n = len(columns)
+    if draw(st.booleans()):
+        ks = draw(st.tuples(*[st.integers(-3, 3)] * m))
+        vec = [sum(k * b[j] for k, b in zip(ks, base)) for j in range(n)]
+        g = draw(st.sampled_from([g for g in (1, 2, 3, 4) if all(x % g == 0 for x in vec)]))
+        vec = [x // g for x in vec]
+        if draw(st.booleans()):  # nudged, which may or may not leave the span
+            vec[draw(st.integers(0, n - 1))] += draw(nonzero)
+    else:
+        vec = draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n))
+    return base, tuple(vec)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_base_and_vector())
+def test_base_coordinates_equals_a_fraction_solve(case):
+    base, vec = case
+    want = _span_solve(base, vec)
+    if want is None:
+        with pytest.raises(ValueError, match="not in the span"):
+            base_coordinates(base, vec)
+    else:
+        got = base_coordinates(base, vec)
+        assert got == want and all(type(c) is Fraction for c in got)

@@ -155,6 +155,18 @@ def test_argument_errors(cls, fields, changed, text):
         cls(*values[:1], **fields)
 
 
+@pytest.mark.parametrize("cls, fields, changed, text", CASES, ids=IDS)
+def test_all_keywords_checked(cls, fields, changed, text):
+    names, values = list(fields), list(fields.values())
+    misspelled = dict(zip(names[:-1] + [names[-1] + "_"], values))
+    with pytest.raises(TypeError):  # every field by keyword, the last one misspelled
+        cls(**misspelled)
+    with pytest.raises(TypeError):  # every field by keyword, and one more
+        cls(**fields, extra=1)
+    # the keywords in another order bind by name
+    assert cls(**dict(reversed(fields.items()))) == cls(*values)
+
+
 def test_keyword_defaults():
     assert SubgroupHypotheses() == SubgroupHypotheses(False, False)
     assert SubgroupHypotheses(self_normalizing=True) == SubgroupHypotheses(False, True)

@@ -162,3 +162,13 @@ def test_nonidentity_ignores_hypotheses():
     v = verdicts.pop()
     assert v.subgroup_conjugacy == "unknown"
     assert not v.equivariant_map_exists
+
+
+@pytest.mark.parametrize("value", ["no", "", 0, 1, None])
+@pytest.mark.parametrize("field", ["spherical", "self_normalizing"])
+def test_hypotheses_refuse_non_bool(field, value):
+    # a truthy "no" used to read as a hypothesis that holds
+    with pytest.raises(TypeError, match=field):
+        SubgroupHypotheses(**{field: value})
+    with pytest.raises(TypeError, match=field):
+        SubgroupHypotheses(*((value, True) if field == "spherical" else (True, value)))
