@@ -27,7 +27,7 @@ from .involution import (
     satake_automorphism,
 )
 from .realforms import RealFormRecord, catalog, classification_to_json, classify, lookup
-from .rootsys import connected_node_sets, induced_node_permutation
+from .rootsys import induced_node_permutation
 from .verdict import SubgroupHypotheses, real_structure_verdict, verdict_to_json
 
 
@@ -215,7 +215,7 @@ def _selftest_checks(d: SatakeDiagram, failures: list[str], tag: str) -> None:
     perm = satake_automorphism(d)
     # the node map reads the black flip off each component's shape; the
     # word for the component's longest element is the independent side
-    for comp in connected_node_sets(rs, d.black):
+    for comp in d._black_components:
         if {i: perm[i] for i in comp} != induced_node_permutation(rs, comp):
             failures.append(f"{tag}: black component {comp} flips unlike -w0")
     if d.is_doubled:
@@ -269,6 +269,15 @@ _COMMANDS = {
 
 def run(argv: list[str] | None = None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # argparse's negative numbers are lone numbers, so it reads "-1,0" as
+    # an option: a coordinate list with a negative first goes after "--"
+    for k, arg in enumerate(argv):
+        if arg == "--":
+            break
+        if re.fullmatch(r"-[0-9]+(,[+-]?[0-9]+)+", arg):
+            argv.insert(k, "--")
+            break
     try:
         args = parser.parse_args(argv)
     except SystemExit as e:

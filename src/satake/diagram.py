@@ -18,7 +18,7 @@ from functools import cached_property, lru_cache
 from ._record import Record
 from .errors import DiagramDataError, DiagramParseError
 from .involution import _Derivation
-from .rootsys import _E_SPINE, RootSystem, SimpleType, _components, build_root_system
+from .rootsys import RootSystem, SimpleType, _components, _layout, build_root_system
 
 
 class SatakeDiagram(_Derivation, Record):
@@ -242,43 +242,17 @@ def _glyph(d: SatakeDiagram, i: int) -> str:
 
 
 def _render_component(d: SatakeDiagram, t: SimpleType, start: int) -> list[str]:
-    rs = d.rs
-    nodes = list(range(start, start + t.rank))
-    if t.family == "D":
-        chain = nodes[:-1]
-        branch = nodes[-1]
-        branch_at = len(chain) - 2
-    elif t.family == "E":
-        chain = [start + k for k in _E_SPINE[: t.rank - 1]]
-        branch = start + 1
-        branch_at = 2
-    else:
-        chain = nodes
-        branch = None
-        branch_at = -1
-
-    line = ""
-    for k, u in enumerate(chain):
-        line += _glyph(d, u)
-        if k + 1 < len(chain):
-            line += _edge(rs, u, chain[k + 1])
-    labels = [" "] * len(line)
-    for k, u in enumerate(chain):
-        tag = str(u + 1)
-        col = 4 * k
-        for c, ch in enumerate(tag):
-            if col + c < len(labels):
-                labels[col + c] = ch
-            else:
-                labels.append(ch)
-
+    chain, branch = _layout(t)
     out: list[str] = []
-    if branch is not None:
-        pad = " " * (4 * branch_at)
-        out.append(f"{pad}{_glyph(d, branch)} {branch + 1}")
-        out.append(f"{pad}|")
+    for hub, leaf in branch:
+        pad = " " * (4 * chain.index(hub))
+        out += [f"{pad}{_glyph(d, start + leaf)} {start + leaf + 1}", f"{pad}|"]
+    nodes = [start + u for u in chain]
+    line = _glyph(d, nodes[0]) + "".join(
+        _edge(d.rs, u, v) + _glyph(d, v) for u, v in zip(nodes, nodes[1:])
+    )
     out.append(line)
-    out.append("".join(labels).rstrip())
+    out.append("".join(f"{u + 1:<4}" for u in nodes).rstrip())
     return out
 
 

@@ -15,17 +15,17 @@ pairing of white nodes, this module computes:
   non-reduced BC types.
 
 Diagram arguments are ``SatakeDiagram`` instances.  Each diagram is
-derived once: ``_Derivation``, mixed into ``SatakeDiagram``, computes the
-stages (node map, lattice involution, corrections, restricted roots) on
-first need and keeps them on the instance, and the public functions read
-them; ``parse_diagram`` hands out one instance per text, so a parsed
-text is derived once per process.  A reduced word for the black longest
-element serves only the lattice involution's white columns, and the
-involution is kept as its matrix alone: the restricted stage forms
-r - theta(r) for every positive root in one pass, from the matrix's
-columns, and keeps only the restricted roots.  The node map checks,
-reporting (check, detail) pairs through ``DiagramDataError``: once it
-passes, the lattice involution's laws are theorems, which
+derived once: ``_Derivation``, mixed into ``SatakeDiagram``, computes
+the stages (black components, node map, lattice involution, corrections,
+restricted roots) on first need and keeps them on the instance, and the
+public functions read them; ``parse_diagram`` hands out one instance per
+text, so a parsed text is derived once per process.  A reduced word for
+the black longest element serves only the lattice involution's white
+columns, and the involution is kept as its matrix alone: the restricted
+stage forms r - theta(r) for every positive root in one pass, from the
+matrix's columns, and keeps only the restricted roots.  The node map
+checks, reporting (check, detail) pairs through ``DiagramDataError``:
+once it passes, the lattice involution's laws are theorems, which
 ``involution_failures`` checks for the selftest and the tests.  Araki's
 rule (Araki 1962, J. Math. Osaka City Univ. 13; Kolb 2014, Adv. Math.
 267, Def. 2.3(3)), read by ``validate`` and the verdict only, makes it a
@@ -99,8 +99,13 @@ class _Derivation:
     raise its failures, and the lattice involution through
     ``dual_cartan_involution`` likewise, so each layer's public function
     is where its work is done.  ``_admissibility`` holds the node map's
-    failures, or else Araki's rule's, for ``validate``.
+    failures, or else Araki's rule's, for ``validate``; both read the
+    black components, as the selftest's flip check does.
     """
+
+    @cached_property
+    def _black_components(self) -> tuple[tuple[int, ...], ...]:
+        return _connected_sets(self.rs.cartan, self.black)
 
     @cached_property
     def _node_map(self) -> tuple[tuple[int, ...], Failures]:
@@ -111,7 +116,7 @@ class _Derivation:
         for i in self.whites:
             perm[i] = self._omega[i]
         a = self.rs.cartan
-        for comp in _connected_sets(a, self.black):
+        for comp in self._black_components:
             for i, j in _black_flip(a, comp):
                 perm[i] = j
         # an involution: the arrows pair white nodes, -w0 flips black ones
@@ -127,7 +132,7 @@ class _Derivation:
             return fails
         a = self.rs.cartan
         k: dict[int, int] = {}
-        for comp in _connected_sets(a, self.black):
+        for comp in self._black_components:
             k.update(zip(comp, _coroot_sum(tuple(tuple(a[j][i] for j in comp) for i in comp))))
         return tuple(
             ("not admissible", f"white node {j + 1}: <alpha_{j + 1}, rho_X^vee> = {v}/2")

@@ -226,6 +226,8 @@ def _catalog_cached(rank_bound: int) -> tuple[tuple[RealFormRecord, ...], dict[s
 
 def lookup(name: str, rank_bound: int = 8) -> RealFormRecord:
     """Find a real form by any of its names; raises UnknownRealFormError."""
+    if not isinstance(name, str):
+        raise TypeError(f"a real form name is a str, got {name!r}")
     catalog(rank_bound)  # the bound check, before the cache is keyed on it
     idx = _catalog_cached(rank_bound)[1]
     key = normalize_name(name)

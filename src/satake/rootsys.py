@@ -15,6 +15,9 @@ Conventions:
   of ``v`` changes.
 * Words multiply with the leftmost letter applied last: the word
   ``(a, b)`` acts as ``s_a(s_b(v))``.
+* Bourbaki's plates are stated once, in ``_layout``: the chain of each
+  simple type and the one node that hangs off it in D and E.  The Cartan
+  block, the symmetrizer and the diagram picture are all read from it.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from __future__ import annotations
 import re
 from collections.abc import Iterable, Sequence
 from functools import cached_property, lru_cache
+from math import gcd
 from operator import mul
 
 from ._record import Record
@@ -30,9 +34,6 @@ Coords = tuple[int, ...]
 Matrix = tuple[tuple[int, ...], ...]
 
 _FAMILIES = "ABCDEFG"
-
-# Bourbaki E_n: the spine is nodes 1, 3, 4, ..., n; node 2 hangs off node 4.
-_E_SPINE = (0, 2, 3, 4, 5, 6, 7)
 
 # Largest rank of one simple component.  Root generation grows about as
 # the fourth power of the rank; the split B32, C32 and D32 each build and
@@ -88,52 +89,39 @@ class SimpleType(Record):
         return cls(m.group(1), int(m.group(2)))
 
 
+def _layout(t: SimpleType) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
+    """Bourbaki's picture of one simple component (Plates I-IX).
+
+    The chain of nodes, read left to right, and the branch: for D and E
+    the one pair ``(hub, leaf)`` of a chain node and the node hanging off
+    it, for every other family none.  Every bond joins chain neighbours
+    or the branch, and each reaches a new node from one already read.
+    """
+    n = t.rank
+    if t.family == "D":  # node n hangs off node n - 2
+        return tuple(range(n - 1)), ((n - 3, n - 1),)
+    if t.family == "E":  # the chain is nodes 1, 3, 4, ..., n; node 2 hangs off node 4
+        return (0, *range(2, n)), ((3, 1),)
+    return tuple(range(n)), ()
+
+
 def _cartan_block(t: SimpleType) -> list[list[int]]:
-    """Bourbaki Cartan matrix of one simple component."""
+    """Bourbaki Cartan matrix of one simple component: simple bonds along
+    the ``_layout``, then the one multiple bond of B, C, F4 and G2."""
     n = t.rank
     a = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def bond(i: int, j: int, aij: int = -1, aji: int = -1) -> None:
-        a[i][j] = aij
-        a[j][i] = aji
-
-    if t.family in ("A", "B", "C"):
-        for i in range(n - 1):
-            bond(i, i + 1)
-        if t.family == "B":
-            a[n - 1][n - 2] = -2  # last root short
-        elif t.family == "C":
-            a[n - 2][n - 1] = -2  # last root long
-    elif t.family == "D":
-        for i in range(n - 2):
-            bond(i, i + 1)
-        bond(n - 3, n - 1)
-    elif t.family == "E":
-        spine = _E_SPINE[: n - 1]
-        for u, v in zip(spine, spine[1:]):
-            bond(u, v)
-        bond(1, 3)
-    elif t.family == "F":
-        bond(0, 1)
-        bond(1, 2, -1, -2)  # nodes 3, 4 short
-        bond(2, 3)
-    else:  # G
-        bond(0, 1, -3, -1)  # node 1 short
-    return a
-
-
-def _symmetrizer_block(t: SimpleType) -> list[int]:
-    # d_i * a_ij symmetric; d_i proportional to the squared root length.
-    n = t.rank
+    chain, branch = _layout(t)
+    for u, v in (*zip(chain, chain[1:]), *branch):
+        a[u][v] = a[v][u] = -1
     if t.family == "B":
-        return [2] * (n - 1) + [1]
-    if t.family == "C":
-        return [1] * (n - 1) + [2]
-    if t.family == "F":
-        return [2, 2, 1, 1]
-    if t.family == "G":
-        return [1, 3]
-    return [1] * n
+        a[n - 1][n - 2] = -2  # last root short
+    elif t.family == "C":
+        a[n - 2][n - 1] = -2  # last root long
+    elif t.family == "F":
+        a[2][1] = -2  # nodes 3, 4 short
+    elif t.family == "G":
+        a[0][1] = -3  # node 1 short
+    return a
 
 
 def _positive_roots_from_cartan(cartan: Matrix) -> tuple[Coords, ...]:
@@ -238,12 +226,8 @@ class RootSystem(Record):
 
     @cached_property
     def component_nodes(self) -> tuple[tuple[int, ...], ...]:
-        out = []
-        start = 0
-        for t in self.components:
-            out.append(tuple(range(start, start + t.rank)))
-            start += t.rank
-        return tuple(out)
+        r = self.components[0].rank  # a doubled system's components are equal
+        return tuple(tuple(range(k * r, k * r + r)) for k in range(len(self.components)))
 
     @cached_property
     def _form(self) -> Matrix:
@@ -282,9 +266,17 @@ def _build_cached(comps: tuple[SimpleType, ...]) -> RootSystem:
     start = 0
     symmetrizer: list[int] = []
     for t in comps:
-        for i, row in enumerate(_cartan_block(t)):
+        block = _cartan_block(t)
+        for i, row in enumerate(block):
             cartan[start + i][start : start + t.rank] = row
-        symmetrizer.extend(_symmetrizer_block(t))
+        # d_u a_uv = d_v a_vu across each bond, read from the chain's head
+        # at 6, which the one multiple bond's 2 or 3 divides
+        chain, branch = _layout(t)
+        d = {chain[0]: 6}
+        for u, v in (*zip(chain, chain[1:]), *branch):
+            d[v] = d[u] * block[u][v] // block[v][u]
+        g = gcd(*d.values())
+        symmetrizer.extend(d[i] // g for i in range(t.rank))
         start += t.rank
     frozen = tuple(tuple(row) for row in cartan)
     return RootSystem(comps, frozen, tuple(symmetrizer))

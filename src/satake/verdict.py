@@ -75,6 +75,8 @@ def real_structure_verdict(
 ) -> StructureVerdict:
     """Decision table keyed on the induced node involution and the hypotheses;
     a diagram that ``validate`` rejects raises ``DiagramDataError``."""
+    if not isinstance(hypotheses, SubgroupHypotheses):
+        raise TypeError(f"hypotheses are a SubgroupHypotheses, got {hypotheses!r}")
     if fails := diagram._admissibility:
         raise DiagramDataError(fails)
     perm = satake_automorphism(diagram)

@@ -108,6 +108,11 @@ class TestCatalogBuild:
 
 
 class TestLookup:
+    @pytest.mark.parametrize("name", [5, None, b"su(2,1)"])
+    def test_a_name_that_is_not_a_str_is_a_type_error(self, name):
+        with pytest.raises(TypeError, match="real form name"):
+            lookup(name)
+
     def test_every_name_resolves_to_its_record(self, full_catalog):
         for rec in full_catalog:
             for name in rec.names:

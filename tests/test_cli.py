@@ -209,6 +209,17 @@ def test_weights_accept_a_sign(capsys):
     assert capsys.readouterr().out.strip() == "0,1"
 
 
+def test_weights_take_a_negative_first_coordinate(capsys):
+    # argparse alone reads "-1,0" as an option and asks for the coordinates
+    assert run(["weights", "su(2,1)", "-1,0"]) == 0
+    assert capsys.readouterr().out == "0,-1\n"
+    assert run(["weights", "su(2,1)", "--", "-1,0"]) == 0
+    assert capsys.readouterr().out == "0,-1\n"
+    assert run(["weights", "su(2,1)"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: satake weights") and "required: coords" in err
+
+
 def test_verdict_json_matches_golden(capsys):
     assert run(["verdict", "sl(3,R)", "--spherical", "--self-normalizing", "--json"]) == 0
     out = capsys.readouterr().out

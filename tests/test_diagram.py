@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import inspect
 import itertools
+import re
 
 import pytest
 from conftest import node_map_report, positive_roots_by_orbit
@@ -19,7 +20,7 @@ from satake.diagram import (
     validate,
 )
 from satake.errors import DiagramDataError, DiagramParseError
-from satake.involution import dual_cartan_involution
+from satake.involution import black_corrections, dual_cartan_involution, satake_automorphism
 from satake.rootsys import SimpleType, _rank_ok, build_root_system
 
 
@@ -384,6 +385,30 @@ class TestAraki:
         )
         assert validate(parse_diagram("A3xA3 black= arrows=")).ok
         assert [rec.name for rec in catalog(16) if not validate(rec.diagram).ok] == []
+
+    def test_araki_value_is_minus_the_black_correction_sum(self):
+        # at a white j that epsilon fixes, theta(alpha_j) = -w0_X(alpha_j)
+        # = -alpha_j - sum_b c_jb alpha_b; w0_X negates rho_X^vee, which
+        # pairs to 1 with every black simple root, so <alpha_j, 2 rho_X^vee>
+        # = -sum_b c_jb: the coroot closure's value against the Weyl word's
+        checked = 0
+        for d in (d for t in self.SIMPLE for d in _census([t])):
+            fails = validate(d).failures
+            if any(check != "not admissible" for check, _ in fails):
+                continue
+            reported = {}
+            for _, detail in fails:
+                m = re.fullmatch(r"white node (\d+): <alpha_\1, rho_X\^vee> = (-?\d+)/2", detail)
+                reported[int(m[1]) - 1] = int(m[2])
+            eps = satake_automorphism(d)
+            for j, row in black_corrections(d).items():
+                if eps[j] != j:
+                    continue
+                total = sum(row.values())
+                assert (j in reported) == (total % 2 == 1), format_diagram(d)
+                assert reported.get(j, -total) == -total, format_diagram(d)
+                checked += 1
+        assert checked == 4561
 
     def test_node_map_failures_come_alone(self):
         # the black A1 on node 5 fails Araki's rule at nodes 4 and 6, but

@@ -47,6 +47,20 @@ from satake.rootsys import (
 from satake.verdict import real_structure_verdict
 
 
+def test_black_components_are_found_once(monkeypatch):
+    # the node map, Araki's rule and the selftest's flip check read one stage
+    calls = []
+    found = involution._connected_sets
+    monkeypatch.setattr(
+        involution, "_connected_sets", lambda *args: calls.append(args) or found(*args)
+    )
+    d = parse_diagram("E7 black=2,5,7 arrows=")
+    d = SatakeDiagram.create(d.types, d.black, d.arrows)  # a fresh derivation
+    assert validate(d).ok
+    satake_automorphism(d)
+    assert len(calls) == 1
+
+
 def _theta_column(theta, j):
     return tuple(theta[i][j] for i in range(len(theta)))
 

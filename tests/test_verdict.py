@@ -172,3 +172,10 @@ def test_hypotheses_refuse_non_bool(field, value):
         SubgroupHypotheses(**{field: value})
     with pytest.raises(TypeError, match=field):
         SubgroupHypotheses(*((value, True) if field == "spherical" else (True, value)))
+
+
+@pytest.mark.parametrize("hyp", [None, (True, True), {"spherical": True}])
+@pytest.mark.parametrize("name", ["sl(3,R)", "su(2,1)"])  # epsilon = id, and not
+def test_verdict_refuses_hypotheses_of_another_type(name, hyp):
+    with pytest.raises(TypeError, match="SubgroupHypotheses"):
+        real_structure_verdict(lookup(name).diagram, hyp)
