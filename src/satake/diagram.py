@@ -137,7 +137,8 @@ def validate(d: SatakeDiagram) -> ValidationReport:
     and node-map failures alone, or else one ``"not admissible"`` per white
     node j the node map fixes with ``<alpha_j, rho_X^vee>`` not integral, X
     the black set (Araki 1962, J. Math. Osaka City Univ. 13; Kolb 2014, Adv.
-    Math. 267, Def. 2.3(3)).  It builds no Weyl word and closes no root system.
+    Math. 267, Def. 2.3(3)).  It builds no Weyl word; the one root closure
+    is of each black component's dual, kept per shape, never of ``d``'s types.
     """
     fails = d._admissibility
     return ValidationReport(not fails, fails)

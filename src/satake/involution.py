@@ -35,7 +35,6 @@ real form's diagram: each white node j the node map fixes needs
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Container, Iterable, Sequence
 from functools import cached_property, lru_cache
 from itertools import repeat
@@ -74,15 +73,18 @@ def structural_failures(d) -> Failures:
         for i, j in d.arrows
         if i in d.black or j in d.black
     ]
-    seen = Counter(k for pair in d.arrows for k in pair)
-    fails += [("node in more than one arrow", f"node {k + 1}") for k in sorted(seen) if seen[k] > 1]
+    ends = sorted(k for pair in d.arrows for k in pair)
+    repeated = sorted({k for k, nxt in zip(ends, ends[1:]) if k == nxt})
+    fails += [("node in more than one arrow", f"node {k + 1}") for k in repeated]
     if fails:
         return tuple(fails)
+    # omega is an involution of the whites, so a pair of whites breaks the
+    # pattern only if it or its image is a bond
     omega, a = d._omega, d.rs.cartan
+    bonds = {(i, j) for i in d.whites for j in d.rs._nbrs[i] if j in omega}
     return tuple(
         ("arrows break bond pattern", f"nodes {i + 1},{j + 1} map to {omega[i] + 1},{omega[j] + 1}")
-        for i in d.whites
-        for j in d.whites
+        for i, j in sorted(bonds.union([(omega[i], omega[j]) for i, j in bonds]))
         if a[omega[i]][omega[j]] != a[i][j]
     )
 
@@ -115,9 +117,8 @@ class _Derivation:
         perm = list(range(self.n))
         for i in self.whites:
             perm[i] = self._omega[i]
-        a = self.rs.cartan
         for comp in self._black_components:
-            for i, j in _black_flip(a, comp):
+            for i, j in _black_flip(self.rs, comp):
                 perm[i] = j
         # an involution: the arrows pair white nodes, -w0 flips black ones
         if not is_diagram_automorphism(self.rs, perm):
@@ -192,20 +193,22 @@ def _root_vectors(d) -> tuple[list[Coords], list[Coords]]:
     return seeds, vectors
 
 
-@lru_cache(maxsize=128)  # bounded: the simple types up to rank 8 give 41 keys
+# Bounded: the connected black sets of the types up to rank 8 have 41 shapes.
+@lru_cache(maxsize=128)
 def _coroot_sum(cartan_t: Matrix) -> Coords:
     """2 rho^vee in simple coroots: the positive roots of the transposed Cartan matrix, summed."""
     return tuple(map(sum, zip(*_positive_roots_from_cartan(cartan_t))))
 
 
-def _black_flip(a: Matrix, comp: Sequence[int]) -> Iterable[tuple[int, int]]:
+def _black_flip(rs: RootSystem, comp: Sequence[int]) -> Iterable[tuple[int, int]]:
     """The pairs ``(i, -w0(i))`` of a connected black set, read off its shape.
 
     -w0 reverses a path of simple bonds (A_k), swaps the two one-node arms
     of D_k for odd k and the two two-node arms of E6, and fixes every
     other type.
     """
-    arms = _arms({i: [j for j in comp if j != i and a[i][j]] for i in comp})
+    a, nbrs = rs.cartan, rs._nbrs
+    arms = _arms({i: [j for j in nbrs[i] if j in comp] for i in comp})
     if len(arms) == 1:
         arm = arms[0]
         return zip(arm, reversed(arm)) if all(a[u][v] == a[v][u] for u, v in zip(arm, arm[1:])) else ()

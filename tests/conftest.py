@@ -2,9 +2,11 @@
 
 The helpers here deliberately avoid the package's own shortcuts:
 ``enumerate_weyl`` multiplies reflection matrices breadth-first instead
-of reusing ``longest_element``, and ``roots_by_orbit`` closes the simple
-roots under reflections instead of walking root strings.  Tests compare
-the two sides.
+of reusing ``longest_element``, ``roots_by_orbit`` closes the simple
+roots under reflections instead of walking root strings, and
+``positive_roots_by_strings`` walks each root string down through the
+roots found so far instead of carrying each root's pairings.  Tests
+compare the two sides.
 """
 
 from __future__ import annotations
@@ -77,6 +79,57 @@ def is_root(rs: RootSystem, v) -> bool:
 
 def positive_roots_by_orbit(rs: RootSystem) -> frozenset[tuple[int, ...]]:
     return frozenset(r for r in roots_by_orbit(rs) if all(x >= 0 for x in r))
+
+
+def positive_roots_by_strings(cartan: Matrix) -> tuple[tuple[int, ...], ...]:
+    """The positive roots of ``cartan``, by height then lexicographically.
+
+    Height by height, the alpha_i-string through beta has
+    ``q = p - <beta, alpha_i^vee>`` steps up, where p counts the steps
+    down that stay among the roots found so far, each step recomputed.
+    """
+    n = len(cartan)
+    simple = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
+    found: set[tuple[int, ...]] = set(simple)
+    ordered: list[tuple[int, ...]] = []
+    level = sorted(simple)
+    while level:
+        ordered.extend(level)
+        nxt: set[tuple[int, ...]] = set()
+        for beta in level:
+            for i in range(n):
+                pairing = sum(cartan[i][j] * beta[j] for j in range(n))
+                p = 0
+                down = tuple(x - y for x, y in zip(beta, simple[i]))
+                while down in found:
+                    p += 1
+                    down = tuple(x - y for x, y in zip(down, simple[i]))
+                if p - pairing >= 1:
+                    up = tuple(x + y for x, y in zip(beta, simple[i]))
+                    if up not in found:
+                        nxt.add(up)
+        found |= nxt
+        level = sorted(nxt)
+    return tuple(ordered)
+
+
+def diagram_automorphisms(a: Matrix) -> list[tuple[int, ...]]:
+    """Every node permutation keeping the Cartan matrix ``a``, found by
+    extending a partial map one node at a time."""
+    n = len(a)
+
+    def extend(perm):
+        i = len(perm)
+        if i == n:
+            yield tuple(perm)
+            return
+        for j in range(n):
+            if j not in perm and all(
+                a[perm[k]][j] == a[k][i] and a[j][perm[k]] == a[i][k] for k in range(i)
+            ):
+                yield from extend(perm + [j])
+
+    return list(extend([]))
 
 
 def node_map_report(d) -> ValidationReport:

@@ -7,7 +7,7 @@ import itertools
 import re
 
 import pytest
-from conftest import node_map_report, positive_roots_by_orbit
+from conftest import diagram_automorphisms, node_map_report, positive_roots_by_orbit
 
 import satake
 from satake import diagram, involution
@@ -251,6 +251,36 @@ class TestParseMemo:
         assert inspect.isfunction(satake.parse_diagram)
 
 
+BOND_TYPES = [[f"{f}{r}"] for f in "ABCDEFG" for r in range(1, 7) if _rank_ok(f, r)] + [
+    [f"{f}{r}"] * 2 for f in "ABCDG" for r in range(1, 4) if _rank_ok(f, r)
+]
+
+
+def _matchings(nodes: list[int]):
+    """Every set of disjoint pairs of ``nodes``, each pair ascending when
+    ``nodes`` is."""
+    if not nodes:
+        yield []
+        return
+    first, rest = nodes[0], nodes[1:]
+    yield from _matchings(rest)
+    for k, other in enumerate(rest):
+        for m in _matchings(rest[:k] + rest[k + 1 :]):
+            yield [(first, other), *m]
+
+
+def _bond_pattern_by_pairs(d: SatakeDiagram) -> tuple:
+    """The bond-pattern failures by definition: every ordered pair of white
+    nodes, in order, whose Cartan entry the arrow pairing changes."""
+    omega, a = d.omega_map, d.rs.cartan
+    return tuple(
+        ("arrows break bond pattern", f"nodes {i + 1},{j + 1} map to {omega[i] + 1},{omega[j] + 1}")
+        for i in d.whites
+        for j in d.whites
+        if a[omega[i]][omega[j]] != a[i][j]
+    )
+
+
 class TestValidate:
     def test_arrow_touching_black_node_is_flagged(self):
         report = validate(parse_diagram("A2 black=1 arrows=1:2"))
@@ -270,6 +300,36 @@ class TestValidate:
         report = validate(SatakeDiagram.create(["A3"], arrows=[(0, 1)]))
         assert not report.ok
 
+    def test_bond_pattern_failures_pinned(self):
+        # the two white bonds at node 3 and their images under 1:2
+        report = validate(parse_diagram("A4 black= arrows=1:2"))
+        assert str(report) == (
+            "arrows break bond pattern: nodes 1,3 map to 2,3; "
+            "arrows break bond pattern: nodes 2,3 map to 1,3; "
+            "arrows break bond pattern: nodes 3,1 map to 3,2; "
+            "arrows break bond pattern: nodes 3,2 map to 3,1"
+        )
+
+    @pytest.mark.parametrize("types", BOND_TYPES, ids="x".join)
+    def test_bond_pattern_failures_match_every_white_pair(self, types):
+        # the check reads white bonds and their images only; over every
+        # black set and every pairing of the whites it reports, in order,
+        # what the definition's scan of all white pairs does
+        n = build_root_system(types).n
+        broken = 0
+        for black in itertools.chain.from_iterable(
+            itertools.combinations(range(n), k) for k in range(n + 1)
+        ):
+            for arrows in _matchings([i for i in range(n) if i not in black]):
+                d = SatakeDiagram.create(types, black, arrows)
+                want, fails = _bond_pattern_by_pairs(d), validate(d).failures
+                if want:
+                    broken += 1
+                    assert fails == want, d
+                else:
+                    assert all(check != "arrows break bond pattern" for check, _ in fails), d
+        assert broken or n <= 2  # every pairing of A2 or A1xA1 keeps its bonds
+
     def test_valid_examples(self):
         for text in CANONICAL:
             assert validate(parse_diagram(text)).ok, text
@@ -278,32 +338,13 @@ class TestValidate:
         assert str(validate(parse_diagram("A2 black= arrows="))) == "ok"
 
 
-def _automorphisms(a) -> list[tuple[int, ...]]:
-    """Every node permutation keeping the Cartan matrix ``a``, found by
-    extending a partial map one node at a time."""
-    n = len(a)
-
-    def extend(perm):
-        i = len(perm)
-        if i == n:
-            yield tuple(perm)
-            return
-        for j in range(n):
-            if j not in perm and all(
-                a[perm[k]][j] == a[k][i] and a[j][perm[k]] == a[i][k] for k in range(i)
-            ):
-                yield from extend(perm + [j])
-
-    return list(extend([]))
-
-
 def _census(types) -> list[SatakeDiagram]:
     """Every black set with every involutive diagram automorphism omega,
     arrows on the 2-cycles of omega whose ends are both white."""
     rs = build_root_system(types)
     n = rs.n
     out = []
-    for g in _automorphisms(rs.cartan):
+    for g in diagram_automorphisms(rs.cartan):
         if any(g[g[i]] != i for i in range(n)):
             continue
         for black in itertools.chain.from_iterable(
@@ -363,7 +404,7 @@ class TestAraki:
                 d.types, [g[i] for i in d.black], [(g[i], g[j]) for i, j in d.arrows]
             )
             for d in (rec.diagram for rec in catalog() if not rec.diagram.is_doubled)
-            for g in _automorphisms(d.rs.cartan)
+            for g in diagram_automorphisms(d.rs.cartan)
         }
         assert (len(accepted - closure), len(closure - accepted)) == (0, 0)
         assert len(accepted) == 179
@@ -375,7 +416,7 @@ class TestAraki:
         # arrows pair node i with node n + g(i), one diagram for each of
         # the s automorphisms g of T
         k = len(self._accepted([t]))
-        s = len(_automorphisms(build_root_system([t]).cartan))
+        s = len(diagram_automorphisms(build_root_system([t]).cartan))
         assert len(self._accepted([t, t])) == k * k + s
 
     def test_pinned_examples(self):

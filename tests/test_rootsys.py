@@ -10,7 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import enumerate_weyl, is_root, positive_roots_by_orbit, reflect_simple
+from conftest import (
+    diagram_automorphisms,
+    enumerate_weyl,
+    is_root,
+    positive_roots_by_orbit,
+    positive_roots_by_strings,
+    reflect_simple,
+)
 from satake import rootsys
 from satake.rootsys import (
     SimpleType,
@@ -36,6 +43,10 @@ ALL_SIMPLE = (
 )
 
 SMALL_SYSTEMS = ["A1", "A2", "A3", "B2", "B3", "C3", "D3", "D4", "F4", "G2"]
+
+STRING_ORACLE_TYPES = [
+    f"{f}{r}" for f in "ABCD" for r in range(1, 13) if rootsys._rank_ok(f, r)
+] + ["E6", "E7", "E8", "F4", "G2"]
 
 
 def _sys(spec):
@@ -162,6 +173,16 @@ class TestPositiveRoots:
         rs = build_root_system(types)
         assert rs.positive_roots == _positive_roots_from_cartan(rs.cartan)
 
+    @pytest.mark.parametrize("name", STRING_ORACLE_TYPES)
+    @pytest.mark.parametrize("transposed", [False, True], ids=["cartan", "transpose"])
+    def test_closure_matches_string_walk(self, name, transposed):
+        # the closure carries each root's pairings instead of walking its
+        # strings down; the transpose is what Araki's rule closes
+        cartan = tuple(map(tuple, rootsys._cartan_block(SimpleType.parse(name))))
+        if transposed:
+            cartan = tuple(zip(*cartan))
+        assert _positive_roots_from_cartan(cartan) == positive_roots_by_strings(cartan)
+
     @pytest.mark.parametrize(
         "types", [[t] for t in ALL_SIMPLE] + [[t, t] for t in ALL_SIMPLE], ids="x".join
     )
@@ -274,6 +295,64 @@ class TestDiagramAutomorphism:
     def test_not_a_permutation(self):
         with pytest.raises(ValueError):
             is_diagram_automorphism(_sys("A2"), [0, 0])
+
+    @pytest.mark.parametrize(
+        "types,perm",
+        [
+            (["D4"], [2, 1, 3, 0]),  # triality: nodes 1 -> 3 -> 4 -> 1
+            (["D4"], [0, 1, 3, 2]),
+            (["A3", "A3"], [3, 4, 5, 0, 1, 2]),  # the doubled swap
+            (["B2", "B2"], [2, 3, 0, 1]),
+            (["A3", "A3"], [5, 4, 3, 2, 1, 0]),  # swap after the flip
+        ],
+    )
+    def test_named_automorphisms(self, types, perm):
+        rs = _sys(types)
+        assert is_diagram_automorphism(rs, perm)
+        assert perm in map(list, diagram_automorphisms(rs.cartan))
+
+
+AUTOMORPHISM_TYPES = [[t] for t in ALL_SIMPLE] + [
+    [t, t] for t in ALL_SIMPLE if SimpleType.parse(t).rank <= 4
+]
+
+
+@st.composite
+def system_and_permutation(draw):
+    """A simple or doubled system of rank at most 8 and a node permutation:
+    one of its automorphisms, such a one with two images swapped, or any."""
+    rs = _sys(draw(st.sampled_from(AUTOMORPHISM_TYPES)))
+    kind = draw(st.sampled_from(["automorphism", "swapped", "any"]))
+    if kind == "any":
+        return rs, draw(st.permutations(range(rs.n)))
+    perm = list(draw(st.sampled_from(diagram_automorphisms(rs.cartan))))
+    if kind == "swapped" and rs.n > 1:
+        i, j = draw(st.lists(st.integers(0, rs.n - 1), min_size=2, max_size=2, unique=True))
+        perm[i], perm[j] = perm[j], perm[i]
+    return rs, perm
+
+
+def _keeps_every_entry(rs, perm) -> bool:
+    """The definition: all n^2 Cartan entries kept."""
+    a = rs.cartan
+    return all(a[perm[i]][perm[j]] == a[i][j] for i in range(rs.n) for j in range(rs.n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(system_and_permutation())
+def test_automorphism_check_matches_the_definition(sp):
+    # bonds alone decide it
+    rs, perm = sp
+    assert is_diagram_automorphism(rs, perm) == _keeps_every_entry(rs, perm)
+
+
+@pytest.mark.parametrize(
+    "types", [t for t in AUTOMORPHISM_TYPES if _sys(t).n <= 6], ids="x".join
+)
+def test_automorphism_check_on_every_permutation(types):
+    rs = _sys(types)
+    for perm in itertools.permutations(range(rs.n)):
+        assert is_diagram_automorphism(rs, perm) == _keeps_every_entry(rs, perm), perm
 
 
 class TestIdentifyCartan:
