@@ -47,33 +47,39 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--no-color", action="store_true", help="disable ANSI styling")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("list", help="list the catalogued real forms")
+    sub.add_parser("list", help="list the catalogued real forms").set_defaults(run=_cmd_list)
 
     name_help = "real form name, or a diagram literal like 'A3 black=1,3 arrows='"
     p = sub.add_parser("show", help="details of one real form")
     p.add_argument("name", help=name_help)
+    p.set_defaults(run=_cmd_show)
 
     p = sub.add_parser("epsilon", help="induced node involution")
     p.add_argument("diagram", help=name_help)
+    p.set_defaults(run=_cmd_epsilon)
 
     p = sub.add_parser("classify", help="which forms induce the identity involution")
     p.add_argument("--json", action="store_true")
+    p.set_defaults(run=_cmd_classify)
 
     p = sub.add_parser("restricted", help="restricted roots with multiplicities")
     p.add_argument("name", help=name_help)
     p.add_argument("--json", action="store_true")
+    p.set_defaults(run=_cmd_restricted)
 
     p = sub.add_parser("weights", help="act on fundamental-weight coordinates")
     p.add_argument("name", help=name_help)
     p.add_argument("coords", help="comma-separated integers, e.g. 1,0")
+    p.set_defaults(run=_cmd_weights)
 
     p = sub.add_parser("verdict", help="real-structure existence/uniqueness verdict")
     p.add_argument("name", help=name_help)
     p.add_argument("--spherical", action="store_true")
     p.add_argument("--self-normalizing", action="store_true")
     p.add_argument("--json", action="store_true")
+    p.set_defaults(run=_cmd_verdict)
 
-    sub.add_parser("selftest", help="run internal consistency checks")
+    sub.add_parser("selftest", help="run internal consistency checks").set_defaults(run=_cmd_selftest)
     return parser
 
 
@@ -194,7 +200,7 @@ def _cmd_verdict(args: argparse.Namespace) -> int:
         return 0
     on = _use_color(args)
     print(f"{_bold('subgroup conjugacy:', on)} {v.subgroup_conjugacy}")
-    print(f"{_bold('equivariant map exists:', on)} {'yes' if v.equivariant_map_exists else 'no'}")
+    print(f"{_bold('equivariant map guaranteed:', on)} {'yes' if v.equivariant_map_exists else 'no'}")
     print(f"{_bold('real structure on homogeneous space:', on)} {v.real_structure_on_homogeneous_space}")
     print(f"{_bold('real structure on completion:', on)} {v.real_structure_on_completion}")
     print(f"{_bold('citations:', on)} " + ", ".join(v.citations))
@@ -255,18 +261,6 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
     return 0
 
 
-_COMMANDS = {
-    "list": _cmd_list,
-    "show": _cmd_show,
-    "epsilon": _cmd_epsilon,
-    "classify": _cmd_classify,
-    "restricted": _cmd_restricted,
-    "weights": _cmd_weights,
-    "verdict": _cmd_verdict,
-    "selftest": _cmd_selftest,
-}
-
-
 def run(argv: list[str] | None = None) -> int:
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
@@ -283,7 +277,7 @@ def run(argv: list[str] | None = None) -> int:
     except SystemExit as e:
         return 0 if e.code in (0, None) else 2
     try:
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except UnknownRealFormError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -12,7 +12,7 @@ second component after the first.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from functools import cached_property, lru_cache
 
 from ._record import Record
@@ -164,6 +164,15 @@ def _parse_index(item: str, n: int, pos: int) -> int:
     return v - 1
 
 
+def _comma_items(section: str, head: str, pos: int) -> Iterator[tuple[str, int]]:
+    """The comma-separated items after ``head`` in ``section``, at ``pos``, with their positions."""
+    pos += len(head)
+    body = section[len(head):]
+    for item in body.split(",") if body else ():
+        yield item, pos
+        pos += len(item) + 1
+
+
 def parse_diagram(text: str) -> SatakeDiagram:
     """Parse the canonical one-line format; errors carry a character position.
 
@@ -194,30 +203,19 @@ def _parse(text: str) -> SatakeDiagram:
     if not arrow_part.startswith("arrows="):
         raise DiagramParseError("expected an 'arrows=' section", off_arrow)
 
-    black: set[int] = set()
-    cursor = off_black + len("black=")
-    body = black_part[len("black="):]
-    if body:
-        for item in body.split(","):
-            black.add(_parse_index(item, n, cursor))
-            cursor += len(item) + 1
-
+    black = {_parse_index(s, n, pos) for s, pos in _comma_items(black_part, "black=", off_black)}
     arrows: list[tuple[int, int]] = []
-    cursor = off_arrow + len("arrows=")
-    body = arrow_part[len("arrows="):]
-    if body:
-        for item in body.split(","):
-            halves = item.split(":")
-            if len(halves) != 2:
-                raise DiagramParseError(f"expected 'i:j', got {item!r}", cursor)
-            i = _parse_index(halves[0], n, cursor)
-            j = _parse_index(halves[1], n, cursor + len(halves[0]) + 1)
-            if i == j:
-                raise DiagramParseError(f"arrow {item!r} connects a node to itself", cursor)
-            if (i, j) in arrows or (j, i) in arrows:
-                raise DiagramParseError(f"arrow {item!r} repeats an earlier arrow", cursor)
-            arrows.append((i, j))
-            cursor += len(item) + 1
+    for item, pos in _comma_items(arrow_part, "arrows=", off_arrow):
+        halves = item.split(":")
+        if len(halves) != 2:
+            raise DiagramParseError(f"expected 'i:j', got {item!r}", pos)
+        i = _parse_index(halves[0], n, pos)
+        j = _parse_index(halves[1], n, pos + len(halves[0]) + 1)
+        if i == j:
+            raise DiagramParseError(f"arrow {item!r} connects a node to itself", pos)
+        if (i, j) in arrows or (j, i) in arrows:
+            raise DiagramParseError(f"arrow {item!r} repeats an earlier arrow", pos)
+        arrows.append((i, j))
     return SatakeDiagram.create(types, black, arrows)
 
 

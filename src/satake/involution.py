@@ -271,7 +271,8 @@ def dual_cartan_involution(d) -> Matrix:
 
 
 def involution_failures(d) -> Failures:
-    """Every law of the diagram's derived node map and lattice involution.
+    """Every law of the diagram's derived node map and lattice involution,
+    and, once those hold, of its corrections.
 
     Empty when all hold, which they do whenever the node map passes, so
     the derivation does not run these; the selftest and the tests do.
@@ -300,7 +301,18 @@ def involution_failures(d) -> Failures:
                 ("involution-swaps-noncompact", f"white-supported root {r} has a positive image")
             )
     if not fails:
-        fails.extend(_correction_failures(d, theta))
+        for i in d.whites:
+            vec = _correction_vector(d, theta, i)
+            fails += [
+                ("corrections", f"white node {i + 1} has a stray coefficient at white node {k + 1}")
+                for k in d.whites
+                if vec[k] != 0
+            ]
+            fails += [
+                ("corrections", f"white node {i + 1} has a negative coefficient at black node {k + 1}")
+                for k in sorted(d.black)
+                if vec[k] < 0
+            ]
     return tuple(fails)
 
 
@@ -310,23 +322,6 @@ def _correction_vector(d, theta: Matrix, i: int) -> list[int]:
     vec = [-theta[k][i] for k in range(d.n)]
     vec[d._omega[i]] -= 1
     return vec
-
-
-def _correction_failures(d, theta: Matrix) -> list[tuple[str, str]]:
-    fails: list[tuple[str, str]] = []
-    for i in sorted(d.whites):
-        vec = _correction_vector(d, theta, i)
-        fails += [
-            ("corrections", f"white node {i + 1} has a stray coefficient at white node {k + 1}")
-            for k in d.whites
-            if vec[k] != 0
-        ]
-        fails += [
-            ("corrections", f"white node {i + 1} has a negative coefficient at black node {k + 1}")
-            for k in sorted(d.black)
-            if vec[k] < 0
-        ]
-    return fails
 
 
 def black_corrections(d) -> dict[int, dict[int, int]]:

@@ -12,7 +12,8 @@ Each axis uses a small ordered vocabulary so that strengthening the
 hypotheses can only move a verdict up.  The driving dichotomy is
 whether the diagram induces the identity node involution: when it does
 not, the descent argument breaks and known examples show the conclusion
-can genuinely fail, so every axis stays at "unknown".
+can genuinely fail, so nothing is guaranteed: each graded axis stays at
+"unknown" and the equivariant map is not guaranteed.
 """
 
 from __future__ import annotations
@@ -60,6 +61,10 @@ class SubgroupHypotheses(Record):
 
 
 class StructureVerdict(Record):
+    """What the theorems guarantee, axis by axis.  ``equivariant_map_exists``
+    is ``True`` when a map is guaranteed to exist; ``False`` means "not
+    guaranteed", not that no map exists (for H = {e}, sigma itself is one)."""
+
     _fields = (
         "subgroup_conjugacy",
         "equivariant_map_exists",

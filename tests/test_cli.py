@@ -235,9 +235,39 @@ def test_verdict_text(capsys):
     assert "caveats:" in out
 
 
+@pytest.mark.parametrize(
+    "query,guaranteed",
+    [
+        # epsilon = id without sphericity: H = {e} has sigma itself as the map,
+        # so "no" claims only that the theorem does not guarantee one
+        (["sl(3,R)"], "no"),
+        (["sl(3,R)", "--spherical"], "yes"),
+        # epsilon != id: H = B is a spherical self-normalizing counterexample
+        (["so(3,5)", "--spherical", "--self-normalizing"], "no"),
+    ],
+)
+def test_verdict_text_claims_only_a_guarantee(capsys, query, guaranteed):
+    assert run(["verdict", *query]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == f"equivariant map guaranteed: {guaranteed}"
+
+
 def test_selftest(capsys):
     assert run(["selftest"]) == 0
     assert "passed" in capsys.readouterr().out
+
+
+def test_selftest_failure_exits_3(capsys, monkeypatch):
+    import satake.cli as cli
+
+    broken = (("involution-squared", "the lattice map does not square to the identity"),)
+    monkeypatch.setattr(cli, "involution_failures", lambda d: broken if d.n == 1 else ())
+    assert run(["selftest"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines()[0] == (
+        "selftest failure: sl(2,R): involution-squared: the lattice map does not square to the identity"
+    )
+    assert all(line.startswith("selftest failure: ") for line in err.splitlines())
 
 
 def test_usage_errors(capsys):

@@ -198,6 +198,10 @@ class TestTextFormat:
             ("A3 black= arrows=1:\u0663", 19),
             ("A3 black= arrows=1:3,1:3", 21),
             ("A3 black= arrows=3:1,1:3", 21),
+            ("A3 black=,1 arrows=", 9),
+            ("A3 black=1,,2 arrows=", 11),
+            ("A3 black= arrows=,1:2", 17),
+            ("A3 black= arrows=1:2,", 21),
         ],
     )
     def test_parse_errors_carry_positions(self, text, pos):

@@ -131,6 +131,55 @@ class TestCorrections:
         assert all(c >= 0 for c in corr[3].values())
 
 
+def _columns(*cols):
+    """The matrix whose column j is ``cols[j]``, as the lattice involution is kept."""
+    return tuple(zip(*cols))
+
+
+class TestLawChecksFire:
+    """Each check of ``involution_failures`` fires on a derived stage that
+    breaks its law alone; a sound derivation never trips any of them."""
+
+    @pytest.mark.parametrize(
+        "types,black,stage,value,expected",
+        [
+            # a 3-cycle of nodes, the lattice involution still the true one
+            (["A3"], (), "_node_map", ((1, 2, 0), ()),
+             [("node map is not an involution", "1->2, 2->3, 3->1")]),
+            # minus the D4 triality sends positive roots to negative ones, cubed not squared
+            (["D4"], (), "_theta", _columns((0, 0, -1, 0), (0, -1, 0, 0), (0, 0, 0, -1), (-1, 0, 0, 0)),
+             [("involution-squared", "the lattice map does not square to the identity")]),
+            (["A1"], (0,), "_theta", _columns((-1,)),
+             [("involution-fixes-black", "black simple root 1 moves")]),
+            # an involution: alpha_1 -> alpha_1 - 2 alpha_2, alpha_2 -> -alpha_2
+            (["A2"], (), "_theta", _columns((1, -2), (0, -1)),
+             [("involution-roots", "image of root (1, 0) is not a root"),
+              ("involution-roots", "image of root (1, 1) is not a root")]),
+            (["A1"], (), "_theta", _columns((1,)),
+             [("involution-swaps-noncompact", "white-supported root (1,) has a positive image")]),
+            # su(2,1)'s involution on sl(3,R), whose whites have no arrows
+            (["A2"], (), "_theta", _columns((0, -1), (-1, 0)),
+             [("corrections", "white node 1 has a stray coefficient at white node 1"),
+              ("corrections", "white node 1 has a stray coefficient at white node 2"),
+              ("corrections", "white node 2 has a stray coefficient at white node 1"),
+              ("corrections", "white node 2 has a stray coefficient at white node 2")]),
+            # the root laws make theta(alpha_i) a negative root for white i, so
+            # no lattice involution alone gives a negative black coefficient;
+            # a pairing of so(2,7)'s white node 1 with black node 3 does
+            (["B4"], (2, 3), "_omega", {0: 2, 1: 1},
+             [("corrections", "white node 1 has a stray coefficient at white node 1"),
+              ("corrections", "white node 1 has a negative coefficient at black node 3")]),
+        ],
+        ids=["not-involution", "squared", "fixes-black", "roots", "swaps-noncompact",
+             "stray-correction", "negative-correction"],
+    )
+    def test_corrupted_stage(self, types, black, stage, value, expected):
+        d = SatakeDiagram.create(types, black)
+        assert involution_failures(d) == ()
+        d.__dict__[stage] = value
+        assert involution_failures(d) == tuple(expected)
+
+
 class TestDerivedOnce:
     def test_one_derivation_per_diagram(self, monkeypatch, full_catalog):
         calls = {"longest_element": 0, "theta": 0, "laws": 0}
