@@ -50,23 +50,27 @@ class SatakeDiagram(_Derivation, Record):
             raise DiagramDataError([("component types", str(e))]) from e
         black = _items(black, "black nodes are not a collection")
         arrows = _items(arrows, "arrows are not a collection")
+        # each check builds its text only when it fails
         for pair in arrows:
             if not isinstance(pair, (tuple, list)) or len(pair) != 2:
                 raise DiagramDataError([("arrow is not a pair of nodes", repr(pair))])
-        for i in (*black, *(k for pair in arrows for k in pair)):
+        for i in black:
             if type(i) is not int:
                 raise DiagramDataError([("node index is not an integer", repr(i))])
-        black = frozenset(black)
-        for i in sorted(black):
-            if not 0 <= i < rs.n:
-                raise DiagramDataError([("black node out of range", f"node {i + 1}")])
         for i, j in arrows:
-            tag = f"{i + 1}<->{j + 1}"
-            if not (0 <= i < rs.n and 0 <= j < rs.n):
-                raise DiagramDataError([("arrow endpoint out of range", tag)])
-            if i == j:
-                raise DiagramDataError([("arrow connects a node to itself", tag)])
-        arrows = tuple(sorted({(min(i, j), max(i, j)) for i, j in arrows}))
+            if type(i) is not int or type(j) is not int:
+                bad = j if type(i) is int else i
+                raise DiagramDataError([("node index is not an integer", repr(bad))])
+        black, n = frozenset(black), rs.n
+        if black and not (0 <= min(black) and max(black) < n):
+            i = next(i for i in sorted(black) if not 0 <= i < n)
+            raise DiagramDataError([("black node out of range", f"node {i + 1}")])
+        for i, j in arrows:
+            inside = 0 <= i < n and 0 <= j < n
+            if not inside or i == j:
+                check = "arrow connects a node to itself" if inside else "arrow endpoint out of range"
+                raise DiagramDataError([(check, f"{i + 1}<->{j + 1}")])
+        arrows = tuple(sorted({(i, j) if i < j else (j, i) for i, j in arrows}))
         types = rs.components
         self.__dict__.update(
             types=types, black=black, arrows=arrows, rs=rs, _key=(types, black, arrows)

@@ -5,7 +5,8 @@ pairing of white nodes, this module computes:
 
 * the induced node involution on the whole diagram, which acts as the
   arrow pairing on white nodes and on black nodes as the flip -w0 of
-  the black subsystem, read off each black component's shape;
+  the black subsystem, held with 2 rho^vee by one memo per component
+  shape (``_black_shape``); its bond checks read moved nodes only;
 * the root-lattice involution that fixes every black simple root and
   sends every positive root with white support to a negative root;
 * the correction coefficients over black nodes that appear when that
@@ -35,7 +36,7 @@ real form's diagram: each white node j the node map fixes needs
 
 from __future__ import annotations
 
-from collections.abc import Container, Iterable, Sequence
+from collections.abc import Container, Sequence
 from functools import cached_property, lru_cache
 from itertools import repeat
 from math import lcm
@@ -76,12 +77,12 @@ def structural_failures(d) -> Failures:
     ends = sorted(k for pair in d.arrows for k in pair)
     repeated = sorted({k for k, nxt in zip(ends, ends[1:]) if k == nxt})
     fails += [("node in more than one arrow", f"node {k + 1}") for k in repeated]
-    if fails:
+    if fails or not ends:
         return tuple(fails)
-    # omega is an involution of the whites, so a pair of whites breaks the
-    # pattern only if it or its image is a bond
+    # a pair of whites breaks the pattern only if it or its image under omega
+    # is a bond at a node omega moves; a_ij and a_ji differ, so both are read
     omega, a = d._omega, d.rs.cartan
-    bonds = {(i, j) for i in d.whites for j in d.rs._nbrs[i] if j in omega}
+    bonds = {b for i in ends for j in d.rs._nbrs[i] if j in omega for b in ((i, j), (j, i))}
     return tuple(
         ("arrows break bond pattern", f"nodes {i + 1},{j + 1} map to {omega[i] + 1},{omega[j] + 1}")
         for i, j in sorted(bonds.union([(omega[i], omega[j]) for i, j in bonds]))
@@ -106,8 +107,13 @@ class _Derivation:
     """
 
     @cached_property
-    def _black_components(self) -> tuple[tuple[int, ...], ...]:
-        return _connected_sets(self.rs.cartan, self.black)
+    def _black_components(self) -> tuple[tuple[tuple[int, ...], tuple, Coords], ...]:
+        """Each black component, with its flip and 2 rho^vee from the per-shape memo."""
+        a = self.rs.cartan
+        return tuple(
+            (comp, *_black_shape(tuple([tuple([a[i][j] for j in comp]) for i in comp])))
+            for comp in _connected_sets(a, self.black)
+        )
 
     @cached_property
     def _node_map(self) -> tuple[tuple[int, ...], Failures]:
@@ -115,11 +121,11 @@ class _Derivation:
         if fails:
             return (), fails
         perm = list(range(self.n))
-        for i in self.whites:
-            perm[i] = self._omega[i]
-        for comp in self._black_components:
-            for i, j in _black_flip(self.rs, comp):
-                perm[i] = j
+        for i, j in self.arrows:
+            perm[i], perm[j] = j, i
+        for comp, flip, _ in self._black_components:
+            for x, y in flip:
+                perm[comp[x]] = comp[y]
         # an involution: the arrows pair white nodes, -w0 flips black ones
         if not is_diagram_automorphism(self.rs, perm):
             fails = (("node map breaks the Cartan matrix", _perm_text(perm)),)
@@ -133,8 +139,8 @@ class _Derivation:
             return fails
         a = self.rs.cartan
         k: dict[int, int] = {}
-        for comp in self._black_components:
-            k.update(zip(comp, _coroot_sum(tuple(tuple(a[j][i] for j in comp) for i in comp))))
+        for comp, _, coeffs in self._black_components:
+            k.update(zip(comp, coeffs))
         return tuple(
             ("not admissible", f"white node {j + 1}: <alpha_{j + 1}, rho_X^vee> = {v}/2")
             for j in self.whites
@@ -193,33 +199,32 @@ def _root_vectors(d) -> tuple[list[Coords], list[Coords]]:
     return seeds, vectors
 
 
-# Bounded: the connected black sets of the types up to rank 8 have 41 shapes.
+# Bounded: the connected black sets of the types up to rank 8 have 41 Cartan blocks.
 @lru_cache(maxsize=128)
-def _coroot_sum(cartan_t: Matrix) -> Coords:
-    """2 rho^vee in simple coroots: the positive roots of the transposed Cartan matrix, summed."""
-    return tuple(map(sum, zip(*_positive_roots_from_cartan(cartan_t))))
+def _black_shape(block: Matrix) -> tuple[tuple[tuple[int, int], ...], Coords]:
+    """A connected black set's data, in the local indices of its Cartan block.
 
-
-def _black_flip(rs: RootSystem, comp: Sequence[int]) -> Iterable[tuple[int, int]]:
-    """The pairs ``(i, -w0(i))`` of a connected black set, read off its shape.
-
-    -w0 reverses a path of simple bonds (A_k), swaps the two one-node arms
-    of D_k for odd k and the two two-node arms of E6, and fixes every
-    other type.
+    First the pairs ``(x, -w0(x))`` that -w0 moves, read off the shape: it
+    reverses a path of simple bonds (A_k), swaps the two one-node arms of
+    D_k for odd k and the two two-node arms of E6, and fixes every other
+    type.  Then 2 rho^vee in simple coroots: the positive roots of the
+    transposed block, summed.
     """
-    a, nbrs = rs.cartan, rs._nbrs
-    arms = _arms({i: [j for j in nbrs[i] if j in comp] for i in comp})
+    k = len(block)
+    coeffs = tuple(map(sum, zip(*_positive_roots_from_cartan(tuple(zip(*block))))))
+    arms = _arms({x: [y for y in range(k) if y != x and block[x][y]] for x in range(k)})
     if len(arms) == 1:
         arm = arms[0]
-        return zip(arm, reversed(arm)) if all(a[u][v] == a[v][u] for u, v in zip(arm, arm[1:])) else ()
+        if all(block[u][v] == block[v][u] for u, v in zip(arm, arm[1:])):
+            return tuple(zip(arm, reversed(arm))), coeffs
     if len(arms) == 3:
         x, y, z = sorted(arms, key=len)
         if len(x) != len(y):
             x, z = z, x
         # equal arms swap when the third's length has the other parity: D_k, k odd, and E6
         if len(x) == len(y) and (len(y) + len(z)) % 2:
-            return zip(x + y, y + x)
-    return ()
+            return tuple(zip(x + y, y + x)), coeffs
+    return (), coeffs
 
 
 def satake_automorphism(d) -> tuple[int, ...]:
@@ -418,8 +423,8 @@ def base_coordinates(base: Sequence[Coords], vec: Coords) -> tuple:
     return tuple(map(_fraction, xs, repeat(den)))
 
 
-# Bounded: a caller asks for many vectors against one base in a row.
-@lru_cache(maxsize=64)
+# Bounded as the parse memo is: a pass over the default catalog reads 205 bases.
+@lru_cache(maxsize=256)
 def _base_data(base: tuple[Coords, ...], n: int) -> tuple:
     """Per base vector, its private coordinate k (the first where it alone
     of the base is nonzero) and ``den // entry`` there, for ``den`` the

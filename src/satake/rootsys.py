@@ -255,12 +255,14 @@ class RootSystem(Record):
 
 def _components(types: Sequence[SimpleType | str]) -> tuple[SimpleType, ...]:
     """The components parsed, one type or two equal ones; else ``ValueError``."""
-    comps = tuple(t if isinstance(t, SimpleType) else SimpleType.parse(t) for t in types)
+    # a name reads its interned type, so equal components are mostly identical
+    comps = tuple([_parse_type(t) if type(t) is str else t if isinstance(t, SimpleType)
+                   else SimpleType.parse(t) for t in types])
     if not comps:
         raise ValueError("at least one simple type is required")
     if len(comps) > 2:
         raise ValueError("at most two components are supported")
-    if len(comps) == 2 and comps[0] != comps[1]:
+    if len(comps) == 2 and comps[0] is not comps[1] and comps[0] != comps[1]:
         raise ValueError(f"a doubled system needs two equal types, got {comps[0]} and {comps[1]}")
     return comps
 
@@ -394,13 +396,15 @@ def induced_node_permutation(rs: RootSystem, nodes: Iterable[int]) -> dict[int, 
 def is_diagram_automorphism(rs: RootSystem, perm: Sequence[int]) -> bool:
     """True when the node permutation preserves every Cartan entry.
 
-    Only the bonds are read: a bijection that keeps each of the finitely
-    many bonds maps them onto the bonds, so it keeps every non-bond too.
+    Only the bonds at moved nodes are read, both ways, as the matrix is not
+    symmetric: a bond between fixed nodes is kept, and a bijection keeping
+    every bond maps the bonds onto the bonds, so it keeps every non-bond.
     """
     if sorted(perm) != list(range(rs.n)):
         raise ValueError("not a permutation of the node indices")
-    a = rs.cartan
-    return all(a[perm[i]][perm[j]] == a[i][j] for i, nbrs in enumerate(rs._nbrs) for j in nbrs)
+    a, nbrs = rs.cartan, rs._nbrs
+    return all(a[p][perm[j]] == a[i][j] and a[perm[j]][p] == a[j][i]
+               for i, p in enumerate(perm) if p != i for j in nbrs[i])
 
 
 def connected_node_sets(rs: RootSystem, nodes: Iterable[int]) -> tuple[tuple[int, ...], ...]:
@@ -418,8 +422,8 @@ def _connected_sets(cartan: Matrix, nodes: Iterable[int]) -> tuple[tuple[int, ..
     while remaining:
         comp = [min(remaining)]
         remaining.remove(comp[0])
-        for u in comp:  # each node reached is appended, then read in turn
-            linked = [v for v in remaining if cartan[u][v]]
+        for u in comp:  # each node reached is appended, then its row read once
+            linked = list(filter(cartan[u].__getitem__, remaining))
             remaining.difference_update(linked)
             comp += linked
         out.append(tuple(sorted(comp)))

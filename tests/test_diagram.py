@@ -136,6 +136,35 @@ class TestCreate:
         want = SatakeDiagram((SimpleType("A", 3),), frozenset({1}), ((0, 2),))
         assert d == want and hash(d) == hash(want)
 
+    @pytest.mark.parametrize(
+        "black, arrows, failure",
+        [
+            # every arrow is checked to be a pair before any index's type
+            ([0.5], [(0, 1, 2)], ("arrow is not a pair of nodes", "(0, 1, 2)")),
+            # every index's type before any range, black nodes first
+            ([0.5], [(0, 9)], ("node index is not an integer", "0.5")),
+            ([9], [(0, "2")], ("node index is not an integer", "'2'")),
+            ([0.5], [(0, "2")], ("node index is not an integer", "0.5")),
+            ([], [(0, 1), ("1", 0.5)], ("node index is not an integer", "'1'")),
+            ([], [(0, 1), (1, 0.5)], ("node index is not an integer", "0.5")),
+            # the least black node out of range, before any arrow
+            ([-1, 9], [], ("black node out of range", "node 0")),
+            ([-1], [(0, 1)], ("black node out of range", "node 0")),
+            ([5, 7, 1], [(1, 1)], ("black node out of range", "node 6")),
+            ([3], [(0, 9)], ("black node out of range", "node 4")),
+            # then the arrows in order, range before self-arrow within one
+            ([], [(9, 9)], ("arrow endpoint out of range", "10<->10")),
+            ([], [(-1, -1)], ("arrow endpoint out of range", "0<->0")),
+            ([], [(1, 1), (0, 9)], ("arrow connects a node to itself", "2<->2")),
+            ([], [(0, 9), (1, 1)], ("arrow endpoint out of range", "1<->10")),
+        ],
+    )
+    def test_failure_precedence(self, black, arrows, failure):
+        # with several faults, the constructor reports the first of its checks alone
+        with pytest.raises(DiagramDataError) as exc:
+            SatakeDiagram(["A3"], black, arrows)
+        assert exc.value.failures == (failure,)
+
     def test_equality_ignores_arrow_entry_order(self):
         a = SatakeDiagram.create(["A1", "A1"], arrows=[(0, 1)])
         b = SatakeDiagram.create(["A1", "A1"], arrows=[(1, 0)])
@@ -381,6 +410,44 @@ def _araki_by_roots(d: SatakeDiagram, coroots) -> bool:
     )
 
 
+def one_edit_census(bound: int) -> tuple[int, int, list[str]]:
+    """Every one-edit neighbour of each single-type catalog diagram of rank
+    at most ``bound``: one node's colour toggled, dropping any arrow at it,
+    one arrow dropped, or one arrow added between two free white nodes.
+    Returns how many distinct neighbours there are, how many ``validate``
+    accepts, and those on which it disagrees with membership in the
+    catalog closed under diagram automorphisms.  The tier-1 test runs it
+    at rank 16, CI at rank 32.
+    """
+    autos: dict = {}
+    closure, edits = set(), set()
+    for d in (rec.diagram for rec in catalog(bound) if not rec.diagram.is_doubled):
+        if d.types not in autos:
+            autos[d.types] = diagram_automorphisms(d.rs.cartan)
+        closure.update(
+            SatakeDiagram.create(
+                d.types, [g[i] for i in d.black], [(g[i], g[j]) for i, j in d.arrows]
+            )
+            for g in autos[d.types]
+        )
+        black, arrows = d.black, d.arrows
+        free = [i for i in d.whites if all(i not in pair for pair in arrows)]
+        edits.update(
+            (d.types, black ^ {i}, tuple(pair for pair in arrows if i not in pair))
+            for i in range(d.n)
+        )
+        edits.update((d.types, black, arrows[:k] + arrows[k + 1 :]) for k in range(len(arrows)))
+        edits.update((d.types, black, (*arrows, pair)) for pair in itertools.combinations(free, 2))
+    accepted, mismatches = 0, []
+    for types, black, arrows in edits:
+        e = SatakeDiagram.create(types, black, arrows)
+        report = validate(e)
+        accepted += report.ok
+        if report.ok != (e in closure):
+            mismatches.append(f"{format_diagram(e)}: in closure {e in closure}, validate: {report}")
+    return len(edits), accepted, sorted(mismatches)
+
+
 class TestAraki:
     """``validate`` accepts exactly the Satake diagrams of real forms."""
 
@@ -412,6 +479,12 @@ class TestAraki:
         }
         assert (len(accepted - closure), len(closure - accepted)) == (0, 0)
         assert len(accepted) == 179
+
+    def test_one_edit_census(self):
+        # beyond the rank-8 census: the 13,072 neighbours of the catalog's
+        # single-type diagrams up to rank 16, of which the 405 accepted are
+        # real forms' diagrams and the rejected ones are not
+        assert one_edit_census(16) == (13072, 405, [])
 
     @pytest.mark.parametrize("t", [t for t in SIMPLE if t.rank <= 4], ids=str)
     def test_doubled_types(self, t):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import importlib
 import itertools
@@ -36,12 +37,14 @@ from satake.rootsys import (
     _FAMILIES,
     SimpleType,
     _rank_ok,
+    build_root_system,
     connected_node_sets,
     identify_cartan,
     identity_matrix,
     induced_node_permutation,
     longest_element,
     mat_mul,
+    subdiagram_cartan,
     word_matrix,
 )
 from satake.verdict import real_structure_verdict
@@ -321,6 +324,49 @@ class TestBlackFlip:
             perm, _ = d._node_map
             for comp in connected_node_sets(d.rs, black):
                 assert {i: perm[i] for i in comp} == induced_node_permutation(d.rs, comp), black
+
+
+@functools.cache
+def _black_blocks() -> dict:
+    """Each connected black set's Cartan block, with a root system and the
+    nodes that span it: every connected set of the simple types up to rank
+    8, and the whole of A32, B32, C32 and D32."""
+    out: dict = {}
+    for t in [f"{f}{n}" for f in _FAMILIES for n in range(1, 9) if _rank_ok(f, n)]:
+        rs = build_root_system([t])
+        for nodes in itertools.chain.from_iterable(
+            itertools.combinations(range(rs.n), k) for k in range(1, rs.n + 1)
+        ):
+            if len(connected_node_sets(rs, nodes)) == 1:
+                out.setdefault(subdiagram_cartan(rs, nodes), (rs, nodes))
+    for t in ("A32", "B32", "C32", "D32"):
+        rs = build_root_system([t])
+        out.setdefault(rs.cartan, (rs, tuple(range(rs.n))))
+    return out
+
+
+class TestBlackShape:
+    """The per-shape memo against oracles that share none of its code."""
+
+    def test_block_count(self):
+        # the 41 blocks up to rank 8 that the memo's bound is sized for, and the 4 of rank 32
+        assert len(_black_blocks()) == 41 + 4
+
+    def test_flip_is_the_words_flip(self):
+        for block, (rs, comp) in _black_blocks().items():
+            flip, _ = involution._black_shape(block)
+            perm = {i: i for i in comp}
+            perm.update((comp[x], comp[y]) for x, y in flip)
+            assert perm == induced_node_permutation(rs, comp), comp
+
+    def test_coefficients_pair_to_two_at_every_node(self):
+        # <alpha_j, 2 rho^vee> = 2 for every simple root of the component,
+        # and the Cartan block is invertible, so this pins 2 rho^vee
+        for block in _black_blocks():
+            _, k = involution._black_shape(block)
+            n = len(block)
+            assert len(k) == n
+            assert all(sum(k[b] * block[b][j] for b in range(n)) == 2 for j in range(n)), block
 
 
 class TestRestricted:
