@@ -32,6 +32,13 @@ rule (Araki 1962, J. Math. Osaka City Univ. 13; Kolb 2014, Adv. Math.
 267, Def. 2.3(3)), read by ``validate`` and the verdict only, makes it a
 real form's diagram: each white node j the node map fixes needs
 <alpha_j, rho_X^vee> integral, X the black set, else "not admissible".
+
+The read-out of restricted roots is memoised per vector, not per
+diagram: ``base_coordinates`` keeps each (base, vector) pair's answer
+and ``restricted_to_json`` each vector's text at its depth, in bounded
+memos, so a repeated read-out pays lookups only.  Their keys are values,
+so their entries are ints: ``base_coordinates`` reads each through
+``operator.index`` before its memo.
 """
 
 from __future__ import annotations
@@ -39,8 +46,8 @@ from __future__ import annotations
 from collections.abc import Container, Sequence
 from functools import cached_property, lru_cache
 from itertools import repeat
-from math import lcm
-from operator import add, mul, neg, sub
+from math import gcd, lcm
+from operator import add, index, mul, neg, sub
 
 from ._record import Record, _json_list
 from .errors import DiagramDataError
@@ -112,7 +119,7 @@ class _Derivation:
         a = self.rs.cartan
         return tuple(
             (comp, *_black_shape(tuple([tuple([a[i][j] for j in comp]) for i in comp])))
-            for comp in _connected_sets(a, self.black)
+            for comp in _connected_sets(self.rs._nbrs, self.black)
         )
 
     @cached_property
@@ -382,7 +389,8 @@ def _restricted_label(
     # a non-reduced system is BC, whose base holds a root b with 2b a root
     non_reduced = any(tuple(2 * x for x in b) in positive for b in base)
     labels: list[SimpleType] = []
-    for comp in _connected_sets(cartan, range(r)):
+    nbrs = [[j for j, x in enumerate(row) if x and j != i] for i, row in enumerate(cartan)]
+    for comp in _connected_sets(nbrs, range(r)):
         sub = tuple(tuple(cartan[i][j] for j in comp) for i in comp)
         try:
             labels.append(identify_cartan(sub))
@@ -405,6 +413,10 @@ def _restricted_label(
 def base_coordinates(base: Sequence[Coords], vec: Coords) -> tuple:
     """Exact coordinates, as ``Fraction``s, of ``vec`` in the span of ``base``.
 
+    Every entry of ``base`` and ``vec`` is an int: each is read through
+    ``operator.index`` before the memo is, so a bool counts as an int and
+    a float raises TypeError on every call, whatever was asked before.
+    A tuple ``base`` holds tuples; any other sequence may hold lists.
     Precondition: every base vector has a private coordinate, one where
     it alone of the base is nonzero.  Every restricted base has one: the
     image of a white node is its only base vector with that node in its
@@ -414,7 +426,21 @@ def base_coordinates(base: Sequence[Coords], vec: Coords) -> tuple:
     Raises ValueError when a base vector has no private coordinate,
     ``vec`` is not in the span, or the lengths differ.
     """
-    base = tuple(map(tuple, base))
+    if type(base) is not tuple:  # a tuple is kept, so that memo keys share it
+        base = tuple(map(tuple, base))
+    vec = tuple(vec)
+    for v in (*base, vec):
+        gcd(1, *v)  # reads each entry through operator.index; from 1 it only checks
+    return _coordinates(base, vec)
+
+
+# Bounded: the default catalog's 2,923 positive restricted roots are 1,985
+# distinct (base, vector) pairs; the 19,407 of catalog(16) overflow it.
+@lru_cache(maxsize=4096)
+def _coordinates(base: tuple[Coords, ...], vec: Coords) -> tuple:
+    # the key holds the caller's entries; the answer is computed from the
+    # ints operator.index reads them as, as _base_data's is
+    vec = tuple(map(index, vec))
     private, scale, den, checks = _base_data(base, len(vec))
     xs = [c * vec[k] for k, c in zip(private, scale)]
     for k, col in checks:
@@ -434,6 +460,7 @@ def _base_data(base: tuple[Coords, ...], n: int) -> tuple:
     vec[k]``, so the combination there is ``den * vec[k]`` for any vec."""
     if any(len(b) != n for b in base):
         raise ValueError("base vectors and the vector differ in length")
+    base = tuple([tuple(map(index, b)) for b in base])
     columns = tuple(zip(*base)) if base else ((),) * n
     solo = [k for k, col in enumerate(columns) if len(col) - col.count(0) == 1]
     private: list[int] = []
@@ -481,6 +508,10 @@ def _label_json(label: str | None) -> str:
     return json.dumps(label)
 
 
+# Bounded: the default catalog's restricted data are 187 distinct base
+# vectors and 1,126 distinct positive ones, 1,313 keys; the 7,509 of
+# catalog(16) overflow it.
+@lru_cache(maxsize=2048)
 def _coords_json(v: Coords, level: int) -> str:
     items = ",\n".join(map(_half_json, v, repeat(level + 1)))
     return f"[\n{items}\n{'  ' * level}]" if items else "[]"
@@ -495,6 +526,8 @@ def restricted_to_json(rr: RestrictedRoots) -> str:
     ``{"num": ..., "den": ...}`` in lowest terms, built by its own
     coordinate writer: CPython's ``json`` indents only in its pure-Python
     encoder, and a generic writer was 20 times slower on these payloads.
+    Each vector's text comes from a memo keyed on the vector and its
+    depth, so coordinates are ints, as ``restricted_roots`` gives them.
     """
     base = _json_list(["    " + _coords_json(v, 2) for v in rr.base], 1)
     mult = rr.multiplicity

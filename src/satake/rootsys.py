@@ -412,18 +412,22 @@ def connected_node_sets(rs: RootSystem, nodes: Iterable[int]) -> tuple[tuple[int
     nodes = set(nodes)
     for i in nodes:
         _check_node(rs, i)
-    return _connected_sets(rs.cartan, nodes)
+    return _connected_sets(rs._nbrs, nodes)
 
 
-def _connected_sets(cartan: Matrix, nodes: Iterable[int]) -> tuple[tuple[int, ...], ...]:
-    """Connected components, sorted, of the diagram of ``cartan`` on ``nodes``."""
+def _connected_sets(
+    nbrs: Sequence[Sequence[int]], nodes: Iterable[int]
+) -> tuple[tuple[int, ...], ...]:
+    """Connected components, sorted, on ``nodes`` of the diagram whose node
+    u is bonded to each node of ``nbrs[u]``, as a Cartan row's nonzero
+    off-diagonal entries give them."""
     remaining = set(nodes)
     out = []
     while remaining:
         comp = [min(remaining)]
         remaining.remove(comp[0])
-        for u in comp:  # each node reached is appended, then its row read once
-            linked = list(filter(cartan[u].__getitem__, remaining))
+        for u in comp:  # each node reached is appended, then its bonds read once
+            linked = [v for v in nbrs[u] if v in remaining]
             remaining.difference_update(linked)
             comp += linked
         out.append(tuple(sorted(comp)))

@@ -113,6 +113,23 @@ def positive_roots_by_strings(cartan: Matrix) -> tuple[tuple[int, ...], ...]:
     return tuple(ordered)
 
 
+def components_by_matrix_scan(cartan: Matrix, nodes) -> tuple[tuple[int, ...], ...]:
+    """Connected components, sorted, of the diagram of ``cartan`` on
+    ``nodes``: each node reached tests every remaining node against its
+    Cartan row."""
+    remaining = set(nodes)
+    out = []
+    while remaining:
+        comp = [min(remaining)]
+        remaining.remove(comp[0])
+        for u in comp:
+            linked = [v for v in remaining if cartan[u][v]]
+            remaining.difference_update(linked)
+            comp += linked
+        out.append(tuple(sorted(comp)))
+    return tuple(out)
+
+
 def diagram_automorphisms(a: Matrix) -> list[tuple[int, ...]]:
     """Every node permutation keeping the Cartan matrix ``a``, found by
     extending a partial map one node at a time."""

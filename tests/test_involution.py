@@ -14,12 +14,13 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from conftest import node_map_report
+from conftest import components_by_matrix_scan, node_map_report
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import satake
 from satake import classify, involution, rootsys
+from satake.realforms import catalog
 from satake.diagram import SatakeDiagram, format_diagram, parse_diagram, validate
 from satake.errors import DiagramDataError
 from satake.involution import (
@@ -447,6 +448,24 @@ class TestRestricted:
         assert base_coordinates(base, (1, 1)) == (Fraction(-1, 2), Fraction(1, 3))
         assert base_coordinates(base, (4, -6)) == (-2, -2)
 
+    def test_base_coordinates_take_ints_whatever_was_asked_before(self):
+        # a float raises both before and after the equal int vector is
+        # memoised; a bool is an int, and lists read as tuples
+        base = ((2, 0), (0, 3))
+        for _ in range(2):
+            with pytest.raises(TypeError):
+                base_coordinates(base, (1.0, 1.0))
+            with pytest.raises(TypeError):
+                base_coordinates(((2.0, 0), (0, 3)), (1, 1))
+            assert base_coordinates(base, (1, 1)) == (Fraction(1, 2), Fraction(1, 3))
+        assert base_coordinates([[2, False], [0, 3]], [True, 1]) == (Fraction(1, 2), Fraction(1, 3))
+
+        class Index:
+            def __index__(self):
+                return 3
+
+        assert base_coordinates(((2, 0), (0, Index())), (1, Index())) == (Fraction(1, 2), 1)
+
     def test_json_shape(self):
         rr = restricted_roots(parse_diagram("A2 black= arrows=1:2"))
         payload = json.loads(restricted_to_json(rr))
@@ -544,7 +563,7 @@ def _reference_label(rs, rr):
             return None
         cartan.append(tuple(q for q, _ in qr))
     labels = []
-    for comp in rootsys._connected_sets(cartan, range(len(cartan))):
+    for comp in components_by_matrix_scan(cartan, range(len(cartan))):
         try:
             labels.append(identify_cartan(tuple(tuple(cartan[i][j] for j in comp) for i in comp)))
         except ValueError:
@@ -578,9 +597,13 @@ def _stdlib_json(rr) -> str:
 
 class TestJsonEqualsStdlibEncoder:
     def test_catalog(self, full_catalog):
-        for rec in full_catalog:
-            rr = restricted_roots(rec.diagram)
-            assert restricted_to_json(rr) == _stdlib_json(rr), rec.name
+        # the second pass reads every vector's text from the memo the first filled
+        for _ in range(2):
+            misses = involution._coords_json.cache_info().misses
+            for rec in full_catalog:
+                rr = restricted_roots(rec.diagram)
+                assert restricted_to_json(rr) == _stdlib_json(rr), rec.name
+        assert involution._coords_json.cache_info().misses == misses
 
     @pytest.mark.parametrize(
         "text", ["A3 black=1,2,3 arrows=", "A2 black= arrows=1:2", "E6 black=3,4,5 arrows=1:6"]
@@ -640,16 +663,38 @@ class TestWeights:
 def test_base_coordinates_against_read_offs(full_catalog, random_diagrams_500):
     # Each coefficient is read at its base vector's private coordinate,
     # found by scanning; every restricted root lies in the span.
-    for d in [rec.diagram for rec in full_catalog] + random_diagrams_500[:100]:
-        rr = restricted_roots(d)
-        n = len(rr.base[0]) if rr.base else 0
-        private = [
-            next(k for k in range(n) if b[k] and sum(1 for o in rr.base if o[k]) == 1)
-            for b in rr.base
-        ]
-        for v in rr.positive:
-            want = tuple(Fraction(v[k], b[k]) for k, b in zip(private, rr.base))
-            assert base_coordinates(rr.base, v) == want, format_diagram(d)
+    # The second pass reads every answer from the memo the first filled.
+    for _ in range(2):
+        before = involution._coordinates.cache_info()
+        calls = 0
+        for d in [rec.diagram for rec in full_catalog] + random_diagrams_500[:100]:
+            rr = restricted_roots(d)
+            n = len(rr.base[0]) if rr.base else 0
+            private = [
+                next(k for k in range(n) if b[k] and sum(1 for o in rr.base if o[k]) == 1)
+                for b in rr.base
+            ]
+            for v in rr.positive:
+                want = tuple(Fraction(v[k], b[k]) for k, b in zip(private, rr.base))
+                assert base_coordinates(rr.base, v) == want, format_diagram(d)
+                calls += 1
+    after = involution._coordinates.cache_info()
+    assert (after.hits - before.hits, after.misses) == (calls, before.misses)
+
+
+def test_read_out_memos_hold_the_default_catalog(full_catalog):
+    bases, pairs, texts = set(), set(), set()
+    for rec in full_catalog:
+        rr = restricted_roots(rec.diagram)
+        bases.add(rr.base)
+        pairs.update((rr.base, v) for v in rr.positive)
+        texts.update((v, 2) for v in rr.base)
+        texts.update((v, 3) for v in rr.positive)
+    halves = {(c, level + 1) for v, level in texts for c in v}
+    assert involution._base_data.cache_info().maxsize >= len(bases)
+    assert involution._coordinates.cache_info().maxsize >= len(pairs)
+    assert involution._coords_json.cache_info().maxsize >= len(texts)
+    assert involution._half_json.cache_info().maxsize >= len(halves)
 
 
 def _span_solve(base, vec):
@@ -673,6 +718,30 @@ def _span_solve(base, vec):
         return None
     assert len(pivots) == m  # private coordinates make the base independent
     return tuple(rows[i][m] for i in range(m))
+
+
+def read_out_mismatches(bound: int) -> tuple[int, list[str]]:
+    """Two passes of the restricted read-out over ``catalog(bound)``, each
+    answer against the references above: ``restricted_to_json`` against
+    ``_stdlib_json`` and ``base_coordinates`` against ``_span_solve``.
+    Returns how many answers were compared and the forms where one
+    differed.  The tier-1 test runs it at bound 4, whose keys the memos
+    hold; CI at bound 16, whose keys overflow them, so both passes evict."""
+    compared, bad = 0, []
+    for _ in range(2):
+        for rec in catalog(bound):
+            rr = restricted_roots(rec.diagram)
+            compared += 1 + len(rr.positive)
+            if restricted_to_json(rr) != _stdlib_json(rr) or any(
+                base_coordinates(rr.base, v) != _span_solve(rr.base, v) for v in rr.positive
+            ):
+                bad.append(rec.name)
+    return compared, bad
+
+
+def test_read_out_against_references_twice():
+    compared, bad = read_out_mismatches(4)
+    assert compared > 0 and not bad, bad
 
 
 @st.composite
@@ -712,9 +781,11 @@ def _base_and_vector(draw):
 def test_base_coordinates_equals_a_fraction_solve(case):
     base, vec = case
     want = _span_solve(base, vec)
-    if want is None:
-        with pytest.raises(ValueError, match="not in the span"):
-            base_coordinates(base, vec)
-    else:
-        got = base_coordinates(base, vec)
-        assert got == want and all(type(c) is Fraction for c in got)
+    # again from the memo, with lists for tuples
+    for args in ((base, vec), ([list(b) for b in base], list(vec))):
+        if want is None:
+            with pytest.raises(ValueError, match="not in the span"):
+                base_coordinates(*args)
+        else:
+            got = base_coordinates(*args)
+            assert got == want and all(type(c) is Fraction for c in got)

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    components_by_matrix_scan,
     diagram_automorphisms,
     enumerate_weyl,
     is_root,
@@ -24,6 +25,7 @@ from satake.rootsys import (
     _positive_roots_from_cartan,
     apply_word,
     build_root_system,
+    connected_node_sets,
     identify_cartan,
     identity_matrix,
     induced_node_permutation,
@@ -575,3 +577,14 @@ def test_longest_element_against_root_sum(types):
     for mask in range(1 << rs.n):
         subset = [k for k in range(rs.n) if mask >> k & 1]
         assert longest_element(rs, subset) == _root_sum_word(rs, subset)
+
+
+@pytest.mark.parametrize("name", [t for t in ALL_SIMPLE if SimpleType.parse(t).rank <= 6])
+def test_connected_sets_walk_equals_a_matrix_scan(name):
+    # every node subset: the walk over neighbour lists against the Cartan rows
+    rs = _sys(name)
+    for mask in range(1 << rs.n):
+        subset = [k for k in range(rs.n) if mask >> k & 1]
+        want = components_by_matrix_scan(rs.cartan, subset)
+        assert rootsys._connected_sets(rs._nbrs, subset) == want
+        assert connected_node_sets(rs, subset) == want
