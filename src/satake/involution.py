@@ -33,12 +33,12 @@ rule (Araki 1962, J. Math. Osaka City Univ. 13; Kolb 2014, Adv. Math.
 real form's diagram: each white node j the node map fixes needs
 <alpha_j, rho_X^vee> integral, X the black set, else "not admissible".
 
-The read-out of restricted roots is memoised per vector, not per
-diagram: ``base_coordinates`` keeps each (base, vector) pair's answer
-and ``restricted_to_json`` each vector's text at its depth, in bounded
-memos, so a repeated read-out pays lookups only.  Their keys are values,
-so their entries are ints: ``base_coordinates`` reads each through
-``operator.index`` before its memo.
+The read-out of restricted roots keeps four bounded memos: each (base,
+vector) pair's coordinates in ``base_coordinates`` and each vector's
+text at its depth in ``restricted_to_json``, so a repeated read-out
+pays lookups only; the ``Fraction``s, which the coordinates share; and
+the quoted type labels.  A miss computes its answer whole.  Keys are
+values, so ``base_coordinates`` reads each entry as an int first.
 """
 
 from __future__ import annotations
@@ -438,40 +438,31 @@ def base_coordinates(base: Sequence[Coords], vec: Coords) -> tuple:
 # distinct (base, vector) pairs; the 19,407 of catalog(16) overflow it.
 @lru_cache(maxsize=4096)
 def _coordinates(base: tuple[Coords, ...], vec: Coords) -> tuple:
-    # the key holds the caller's entries; the answer is computed from the
-    # ints operator.index reads them as, as _base_data's is
-    vec = tuple(map(index, vec))
-    private, scale, den, checks = _base_data(base, len(vec))
-    xs = [c * vec[k] for k, c in zip(private, scale)]
-    for k, col in checks:
-        if sum(map(mul, xs, col)) != den * vec[k]:
-            raise ValueError("vector is not in the span of the base")
-    return tuple(map(_fraction, xs, repeat(den)))
-
-
-# Bounded as the parse memo is: a pass over the default catalog reads 205 bases.
-@lru_cache(maxsize=256)
-def _base_data(base: tuple[Coords, ...], n: int) -> tuple:
-    """Per base vector, its private coordinate k (the first where it alone
-    of the base is nonzero) and ``den // entry`` there, for ``den`` the
-    lcm of those entries; then ``den`` and every other column of the
-    base, with its index.  A read-off column needs no check: only its
-    vector is nonzero there, its scaled coefficient is ``den // entry *
-    vec[k]``, so the combination there is ``den * vec[k]`` for any vec."""
-    if any(len(b) != n for b in base):
+    """Each base vector's coefficient, read off at its private coordinate
+    k (the first where it alone of the base is nonzero) as ``den // entry
+    * vec[k]``, ``den`` the lcm of those entries; then every other column
+    checked.  At a read-off column only its vector is nonzero, so the
+    combination there is ``den * vec[k]`` for any vec.  The key holds the
+    caller's entries; the answer reads them through ``operator.index``,
+    into lists, not tuples, which CPython's free lists would keep."""
+    vec = list(map(index, vec))
+    if any(len(b) != len(vec) for b in base):
         raise ValueError("base vectors and the vector differ in length")
-    base = tuple([tuple(map(index, b)) for b in base])
-    columns = tuple(zip(*base)) if base else ((),) * n
+    base = [list(map(index, b)) for b in base]
+    columns = list(zip(*base)) if base else [()] * len(vec)
     solo = [k for k, col in enumerate(columns) if len(col) - col.count(0) == 1]
     private: list[int] = []
     for b in base:
         k = next((k for k in solo if b[k]), None)
         if k is None:
-            raise ValueError(f"base vector {b} has no private coordinate")
+            raise ValueError(f"base vector {tuple(b)} has no private coordinate")
         private.append(k)
     den = lcm(*(b[k] for k, b in zip(private, base)))
-    checks = tuple((k, col) for k, col in enumerate(columns) if k not in private)
-    return tuple(private), tuple(den // b[k] for k, b in zip(private, base)), den, checks
+    xs = [den // b[k] * vec[k] for k, b in zip(private, base)]
+    for k, col in enumerate(columns):
+        if k not in private and sum(map(mul, xs, col)) != den * vec[k]:
+            raise ValueError("vector is not in the span of the base")
+    return tuple(map(_fraction, xs, repeat(den)))
 
 
 # Immutable and shared: restricted coordinates are a few small rationals.
@@ -491,15 +482,6 @@ def act_on_weight(perm: Sequence[int], weight: Sequence[int]) -> Coords:
     return tuple(weight[perm[i]] for i in range(len(perm)))
 
 
-@lru_cache(maxsize=64)
-def _half_json(c: int, level: int) -> str:
-    """The JSON object of ``c / 2`` in lowest terms, indented ``level`` deep."""
-    num, den = (c // 2, 1) if c % 2 == 0 else (c, 2)
-    outer = "  " * level
-    inner = outer + "  "
-    return f'{outer}{{\n{inner}"num": {num},\n{inner}"den": {den}\n{outer}}}'
-
-
 # A few labels recur, so each is quoted by ``json`` once.
 @lru_cache(maxsize=64)
 def _label_json(label: str | None) -> str:
@@ -513,8 +495,13 @@ def _label_json(label: str | None) -> str:
 # catalog(16) overflow it.
 @lru_cache(maxsize=2048)
 def _coords_json(v: Coords, level: int) -> str:
-    items = ",\n".join(map(_half_json, v, repeat(level + 1)))
-    return f"[\n{items}\n{'  ' * level}]" if items else "[]"
+    """``v`` as a JSON array ``level`` deep, each ``c / 2`` in lowest terms."""
+    pad = "  " * level
+    head, mid, tail = f'{pad}  {{\n{pad}    "num": ', f',\n{pad}    "den": ', f"\n{pad}  }}"
+    items = ",\n".join([
+        f"{head}{c // 2}{mid}1{tail}" if c % 2 == 0 else f"{head}{c}{mid}2{tail}" for c in v
+    ])
+    return f"[\n{items}\n{pad}]" if items else "[]"
 
 
 def restricted_to_json(rr: RestrictedRoots) -> str:

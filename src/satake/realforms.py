@@ -223,8 +223,11 @@ def lookup(name: str, rank_bound: int = 8) -> RealFormRecord:
     if key not in idx:
         import difflib
 
-        suggestions = difflib.get_close_matches(key, sorted(idx), n=5, cutoff=0.6)
-        raise UnknownRealFormError(name, suggestions)
+        # matched on the normalised keys, each reported as the name it was read from
+        keys = difflib.get_close_matches(key, sorted(idx), n=5, cutoff=0.6)
+        raise UnknownRealFormError(
+            name, [next(n for n in idx[k].names if normalize_name(n) == k) for k in keys]
+        )
     return idx[key]
 
 

@@ -33,7 +33,7 @@ from ._record import Record
 Coords = tuple[int, ...]
 Matrix = tuple[tuple[int, ...], ...]
 
-_FAMILIES = "ABCDEFG"
+_FAMILIES = tuple("ABCDEFG")  # letters, so that "AB" and "" are no family
 
 # Largest rank of one simple component.  Root generation grows about as
 # the fourth power of the rank; the split B32, C32 and D32 each build and
@@ -57,7 +57,8 @@ def _rank_ok(family: str, rank: int) -> bool:
 
 
 class SimpleType(Record):
-    """A simple Dynkin type, e.g. ``SimpleType("D", 4)``.
+    """A simple Dynkin type, e.g. ``SimpleType("D", 4)``: one of the letters
+    A-G and an ``int`` rank, not a bool.
 
     Rank bounds: A >= 1, B >= 2, C >= 2, D >= 3, E in {6, 7, 8}, F = 4,
     G = 2, and at most ``MAX_RANK`` in every family.  Low-rank
@@ -71,6 +72,8 @@ class SimpleType(Record):
     def __init__(self, family: str, rank: int):
         if family not in _FAMILIES:
             raise ValueError(f"unknown family {family!r}")
+        if type(rank) is not int:
+            raise TypeError(f"a rank is an int, got {rank!r}")
         if not _rank_ok(family, rank):
             hint = " (use a doubled A1)" if (family == "D" and rank == 2) else ""
             raise ValueError(f"invalid simple type {family}{rank}{hint}")
@@ -189,11 +192,13 @@ class RootSystem(Record):
         return tuple(tuple(1 if j == i else 0 for j in range(self.n)) for i in range(self.n))
 
     def simple_root(self, i: int) -> Coords:
+        _check_node(self, i)
         return self._basis[i]
 
     def pairing(self, v: Sequence[int], i: int) -> int:
         """``<v, alpha_i^vee>`` for ``v`` in simple-root coordinates."""
         _check_vector(self, v)
+        _check_node(self, i)
         return sum(map(mul, self.cartan[i], v))
 
     @cached_property

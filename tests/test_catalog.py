@@ -145,6 +145,16 @@ class TestLookup:
         assert exc.value.suggestions
         assert exc.value.name == "su(19)"
 
+    def test_suggestions_are_catalog_names(self):
+        # matched on normalised keys, reported as the catalog writes them
+        with pytest.raises(UnknownRealFormError) as exc:
+            lookup("sl(3,Q)")
+        assert exc.value.suggestions[:3] == ("sl(3,R)", "sl(3,H)", "sl(3,C)")
+        assert "close matches: sl(3,R), sl(3,H), sl(3,C)," in str(exc.value)
+        with pytest.raises(UnknownRealFormError) as exc:
+            lookup("eii(x)")
+        assert "EII" in exc.value.suggestions
+
     def test_doubled_record_shape(self):
         rec = lookup("sl(2,C) as real")
         assert rec.text == "A1xA1 black= arrows=1:2"

@@ -683,18 +683,14 @@ def test_base_coordinates_against_read_offs(full_catalog, random_diagrams_500):
 
 
 def test_read_out_memos_hold_the_default_catalog(full_catalog):
-    bases, pairs, texts = set(), set(), set()
+    pairs, texts = set(), set()
     for rec in full_catalog:
         rr = restricted_roots(rec.diagram)
-        bases.add(rr.base)
         pairs.update((rr.base, v) for v in rr.positive)
         texts.update((v, 2) for v in rr.base)
         texts.update((v, 3) for v in rr.positive)
-    halves = {(c, level + 1) for v, level in texts for c in v}
-    assert involution._base_data.cache_info().maxsize >= len(bases)
     assert involution._coordinates.cache_info().maxsize >= len(pairs)
     assert involution._coords_json.cache_info().maxsize >= len(texts)
-    assert involution._half_json.cache_info().maxsize >= len(halves)
 
 
 def _span_solve(base, vec):
@@ -742,6 +738,44 @@ def read_out_mismatches(bound: int) -> tuple[int, list[str]]:
 def test_read_out_against_references_twice():
     compared, bad = read_out_mismatches(4)
     assert compared > 0 and not bad, bad
+
+
+def _read_out_digest(texts, coordinates) -> str:
+    h = hashlib.sha256()
+    for text, coords in zip(texts, coordinates):
+        h.update(text.encode())
+        h.update(repr(coords).encode())
+    return h.hexdigest()
+
+
+def test_read_out_misses_in_a_fresh_process(full_catalog):
+    # In this process earlier tests have warmed the memos; a fresh
+    # interpreter computes each distinct key once, on its miss path.
+    code = (
+        "import sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "from test_involution import _read_out_digest\n"
+        "from satake import base_coordinates, catalog, involution, restricted_roots\n"
+        "rrs = [restricted_roots(rec.diagram) for rec in catalog()]\n"
+        "texts = [involution.restricted_to_json(rr) for rr in rrs]\n"
+        "coords = [[base_coordinates(rr.base, v) for v in rr.positive] for rr in rrs]\n"
+        "print(_read_out_digest(texts, coords))\n"
+        "print(involution._coordinates.cache_info().misses)\n"
+        "print(involution._coords_json.cache_info().misses)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(satake.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(Path(__file__).parent)],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    rrs = [restricted_roots(rec.diagram) for rec in full_catalog]
+    want = _read_out_digest(
+        [_stdlib_json(rr) for rr in rrs],
+        [[_span_solve(rr.base, v) for v in rr.positive] for rr in rrs],
+    )
+    pairs = {(rr.base, v) for rr in rrs for v in rr.positive}
+    texts = {(v, 2) for rr in rrs for v in rr.base} | {(v, 3) for rr in rrs for v in rr.positive}
+    assert proc.stdout.split() == [want, str(len(pairs)), str(len(texts))]
 
 
 @st.composite

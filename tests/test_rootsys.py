@@ -129,6 +129,33 @@ class TestConstruction:
     def test_build_accepts_simpletype_values(self):
         assert build_root_system([SimpleType("A", 2)]) is build_root_system(["A2"])
 
+    @pytest.mark.parametrize("family", ["AB", "DE", "", "H"])
+    def test_family_is_one_of_seven_letters(self, family):
+        # a substring of "ABCDEFG" is not a family, so no A2 under another name
+        with pytest.raises(ValueError, match="unknown family"):
+            SimpleType(family, 2)
+
+    @pytest.mark.parametrize("rank", [2.5, True])
+    def test_rank_is_an_int(self, rank):
+        with pytest.raises(TypeError, match="a rank is an int"):
+            SimpleType("A", rank)
+
+    def test_float_rank_fails_whatever_was_built(self):
+        # the root systems are memoised on equal values, and 3.0 == 3
+        for _ in range(2):
+            with pytest.raises(TypeError):
+                build_root_system([SimpleType("A", 3.0)])
+            assert build_root_system(["A3"]).n == 3
+
+    @pytest.mark.parametrize("i", [-1, 3])
+    def test_node_index_checked(self, i):
+        rs = _sys("A3")
+        text = f"node index {i} out of range for a rank-3 system"
+        with pytest.raises(IndexError, match=text):
+            rs.simple_root(i)
+        with pytest.raises(IndexError, match=text):
+            rs.pairing((1, 0, 0), i)
+
 
 COUNTS = {
     **{f"A{r}": r * (r + 1) // 2 for r in range(1, 9)},
