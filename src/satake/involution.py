@@ -33,21 +33,21 @@ rule (Araki 1962, J. Math. Osaka City Univ. 13; Kolb 2014, Adv. Math.
 real form's diagram: each white node j the node map fixes needs
 <alpha_j, rho_X^vee> integral, X the black set, else "not admissible".
 
-The read-out of restricted roots keeps four bounded memos: each (base,
-vector) pair's coordinates in ``base_coordinates`` and each vector's
-text at its depth in ``restricted_to_json``, so a repeated read-out
-pays lookups only; the ``Fraction``s, which the coordinates share; and
-the quoted type labels.  A miss computes its answer whole.  Keys are
-values, so ``base_coordinates`` reads each entry as an int first.
+The read-out of restricted roots keeps each answer by the identity of
+the objects it came from: a (base, vector) pair's coordinates in
+``base_coordinates`` and a record's whole text in ``restricted_to_json``,
+so a repeated read-out of the tuples ``restricted_roots`` hands out costs
+one lookup.  A miss reads every entry through ``operator.index`` and
+computes its answer whole, so an equal float never shares an int's.
 """
 
 from __future__ import annotations
 
 from collections.abc import Container, Sequence
 from functools import cached_property, lru_cache
-from itertools import repeat
-from math import gcd, lcm
-from operator import add, index, mul, neg, sub
+from itertools import chain, repeat
+from math import lcm
+from operator import add, index, is_, mul, neg, sub
 
 from ._record import Record, _json_list
 from .errors import DiagramDataError
@@ -410,13 +410,37 @@ def _restricted_label(
     return "+".join(str(t) for t in labels)
 
 
+class _Memo(dict):
+    """Answers keyed on the ids of the objects they came from, which each
+    entry holds, so no id is reused while it stays and a key found means
+    the very same objects.  ``keep`` stores an entry only when each of its
+    vector tuples is a tuple of tuples of ints, which no caller can
+    change; a full memo first drops its oldest entry."""
+
+    def __init__(self, bound: int):
+        self.bound = bound
+
+    def keep(self, key, entry: tuple, *vector_tuples) -> None:
+        if all(type(vs) is tuple and all(type(v) is tuple for v in vs)
+               and {int, bool}.issuperset(map(type, chain(*vs))) for vs in vector_tuples):
+            if len(self) >= self.bound:
+                self.pop(next(iter(self)), None)
+            self[key] = entry
+
+
+# Bounded: the default catalog's read-out is 205 records and 2,923 (base,
+# vector) pairs, which ``catalog-derive`` reads pass after pass.
+_coordinates_memo, _json_memo = _Memo(4096), _Memo(256)
+
+
 def base_coordinates(base: Sequence[Coords], vec: Coords) -> tuple:
     """Exact coordinates, as ``Fraction``s, of ``vec`` in the span of ``base``.
 
     Every entry of ``base`` and ``vec`` is an int: each is read through
-    ``operator.index`` before the memo is, so a bool counts as an int and
-    a float raises TypeError on every call, whatever was asked before.
-    A tuple ``base`` holds tuples; any other sequence may hold lists.
+    ``operator.index``, so a bool counts as an int and a float raises
+    TypeError on every call.  The answer is kept by the identity of a
+    tuple ``base`` of tuples and a tuple ``vec``, of ints: the very same
+    objects cost one lookup, and any others, lists included, are read.
     Precondition: every base vector has a private coordinate, one where
     it alone of the base is nonzero.  Every restricted base has one: the
     image of a white node is its only base vector with that node in its
@@ -426,29 +450,27 @@ def base_coordinates(base: Sequence[Coords], vec: Coords) -> tuple:
     Raises ValueError when a base vector has no private coordinate,
     ``vec`` is not in the span, or the lengths differ.
     """
-    if type(base) is not tuple:  # a tuple is kept, so that memo keys share it
-        base = tuple(map(tuple, base))
-    vec = tuple(vec)
-    for v in (*base, vec):
-        gcd(1, *v)  # reads each entry through operator.index; from 1 it only checks
-    return _coordinates(base, vec)
+    key = (id(base), id(vec))
+    hit = _coordinates_memo.get(key)
+    if hit is not None:
+        return hit[2]
+    answer = _coordinates(base, vec)
+    _coordinates_memo.keep(key, (base, vec, answer), base, (vec,))
+    return answer
 
 
-# Bounded: the default catalog's 2,923 positive restricted roots are 1,985
-# distinct (base, vector) pairs; the 19,407 of catalog(16) overflow it.
-@lru_cache(maxsize=4096)
-def _coordinates(base: tuple[Coords, ...], vec: Coords) -> tuple:
+def _coordinates(base: Sequence[Coords], vec: Coords) -> tuple:
     """Each base vector's coefficient, read off at its private coordinate
     k (the first where it alone of the base is nonzero) as ``den // entry
     * vec[k]``, ``den`` the lcm of those entries; then every other column
     checked.  At a read-off column only its vector is nonzero, so the
-    combination there is ``den * vec[k]`` for any vec.  The key holds the
-    caller's entries; the answer reads them through ``operator.index``,
-    into lists, not tuples, which CPython's free lists would keep."""
+    combination there is ``den * vec[k]`` for any vec.  The entries are
+    read through ``operator.index``, into lists, not tuples, which
+    CPython's free lists would keep."""
+    base = [list(map(index, b)) for b in base]
     vec = list(map(index, vec))
     if any(len(b) != len(vec) for b in base):
         raise ValueError("base vectors and the vector differ in length")
-    base = [list(map(index, b)) for b in base]
     columns = list(zip(*base)) if base else [()] * len(vec)
     solo = [k for k, col in enumerate(columns) if len(col) - col.count(0) == 1]
     private: list[int] = []
@@ -482,24 +504,12 @@ def act_on_weight(perm: Sequence[int], weight: Sequence[int]) -> Coords:
     return tuple(weight[perm[i]] for i in range(len(perm)))
 
 
-# A few labels recur, so each is quoted by ``json`` once.
-@lru_cache(maxsize=64)
-def _label_json(label: str | None) -> str:
-    import json
-
-    return json.dumps(label)
-
-
-# Bounded: the default catalog's restricted data are 187 distinct base
-# vectors and 1,126 distinct positive ones, 1,313 keys; the 7,509 of
-# catalog(16) overflow it.
-@lru_cache(maxsize=2048)
 def _coords_json(v: Coords, level: int) -> str:
     """``v`` as a JSON array ``level`` deep, each ``c / 2`` in lowest terms."""
     pad = "  " * level
     head, mid, tail = f'{pad}  {{\n{pad}    "num": ', f',\n{pad}    "den": ', f"\n{pad}  }}"
     items = ",\n".join([
-        f"{head}{c // 2}{mid}1{tail}" if c % 2 == 0 else f"{head}{c}{mid}2{tail}" for c in v
+        f"{head}{c // 2}{mid}1{tail}" if c % 2 == 0 else f"{head}{c}{mid}2{tail}" for c in map(index, v)
     ])
     return f"[\n{items}\n{pad}]" if items else "[]"
 
@@ -513,17 +523,26 @@ def restricted_to_json(rr: RestrictedRoots) -> str:
     ``{"num": ..., "den": ...}`` in lowest terms, built by its own
     coordinate writer: CPython's ``json`` indents only in its pure-Python
     encoder, and a generic writer was 20 times slower on these payloads.
-    Each vector's text comes from a memo keyed on the vector and its
-    depth, so coordinates are ints, as ``restricted_roots`` gives them.
+    Coordinates and multiplicities are read through ``operator.index``,
+    so a bool is written 0 or 1 and a float raises TypeError.  The text is
+    kept by the identity of the record's base, positive vectors and label
+    and of each multiplicity value, as ``restricted_roots`` hands them
+    out; an edited multiplicity copy or another label is written afresh.
     """
-    base = _json_list(["    " + _coords_json(v, 2) for v in rr.base], 1)
-    mult = rr.multiplicity
-    positive = _json_list(
-        [f'    {{\n      "root": {_coords_json(v, 3)},\n      "multiplicity": {mult[v]}\n    }}'
-         for v in rr.positive],
-        1,
+    base, positive, label, mult = rr.base, rr.positive, rr.label, rr.multiplicity
+    hit = _json_memo.get(id(positive))
+    if hit and hit[0] is base and hit[2] is label and all(map(is_, map(mult.__getitem__, positive), hit[3])):
+        return hit[4]
+    import json
+
+    counts = tuple(map(mult.__getitem__, positive))
+    items = [f'    {{\n      "root": {_coords_json(v, 3)},\n      "multiplicity": {index(m)}\n    }}'
+             for v, m in zip(positive, counts)]
+    text = (
+        '{\n  "type": ' + json.dumps(label)
+        + ',\n  "base": ' + _json_list(["    " + _coords_json(v, 2) for v in base], 1)
+        + ',\n  "positive": ' + _json_list(items, 1) + "\n}"
     )
-    return (
-        '{\n  "type": ' + _label_json(rr.label)
-        + ',\n  "base": ' + base + ',\n  "positive": ' + positive + "\n}"
-    )
+    if label is None or type(label) is str:
+        _json_memo.keep(id(positive), (base, positive, label, counts, text), base, positive, (counts,))
+    return text

@@ -7,9 +7,12 @@ import hashlib
 import importlib
 import itertools
 import json
+import operator
 import os
+import re
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -597,13 +600,15 @@ def _stdlib_json(rr) -> str:
 
 class TestJsonEqualsStdlibEncoder:
     def test_catalog(self, full_catalog):
-        # the second pass reads every vector's text from the memo the first filled
-        for _ in range(2):
-            misses = involution._coords_json.cache_info().misses
-            for rec in full_catalog:
-                rr = restricted_roots(rec.diagram)
-                assert restricted_to_json(rr) == _stdlib_json(rr), rec.name
-        assert involution._coords_json.cache_info().misses == misses
+        # the second pass reads each record's text from the memo the first
+        # filled: the very same string, where a miss would build a new one
+        first = []
+        for rec in full_catalog:
+            rr = restricted_roots(rec.diagram)
+            first.append(restricted_to_json(rr))
+            assert first[-1] == _stdlib_json(rr), rec.name
+        again = [restricted_to_json(restricted_roots(rec.diagram)) for rec in full_catalog]
+        assert all(map(operator.is_, first, again))
 
     @pytest.mark.parametrize(
         "text", ["A3 black=1,2,3 arrows=", "A2 black= arrows=1:2", "E6 black=3,4,5 arrows=1:6"]
@@ -630,6 +635,67 @@ class TestJsonEqualsStdlibEncoder:
         # no diagram yields one, but a hand-built record still gets json's "[]"
         rr = involution.RestrictedRoots(base=((),), positive=((),), multiplicity={(): 1}, label=None)
         assert restricted_to_json(rr) == _stdlib_json(rr)
+
+    def test_bool_entries_are_written_as_ints(self):
+        rr = involution.RestrictedRoots(((True, 2),), ((True, 2),), {(True, 2): True}, "A1")
+        ints = involution.RestrictedRoots(((1, 2),), ((1, 2),), {(1, 2): 1}, "A1")
+        assert json.loads(restricted_to_json(rr)) == json.loads(_stdlib_json(ints))
+        assert restricted_to_json(rr) == _stdlib_json(ints)
+
+    def test_float_entries_raise_whatever_was_written_before(self):
+        ints = involution.RestrictedRoots(((1, 2),), ((1, 2),), {(1, 2): 1}, "A1")
+        floats = [
+            involution.RestrictedRoots(((1.0, 2),), ((1.0, 2),), {(1.0, 2): 1}, "A1"),
+            involution.RestrictedRoots(((1, 2),), ((1, 2),), {(1, 2): 1.0}, "A1"),
+        ]
+        for _ in range(2):
+            for rr in floats:
+                with pytest.raises(TypeError):
+                    restricted_to_json(rr)
+            assert restricted_to_json(ints) == _stdlib_json(ints)
+
+
+class TestReadOutByIdentity:
+    """The read-out keeps answers by the identity of the objects they came
+    from: other objects, equal or edited, get their own answers."""
+
+    def test_equal_copies_get_the_right_answers(self):
+        rr = restricted_roots(parse_diagram("E6 black=3,4,5 arrows=1:6"))
+        restricted_to_json(rr)
+        copy = involution.RestrictedRoots(
+            tuple(tuple(list(v)) for v in rr.base),
+            tuple(tuple(list(v)) for v in rr.positive),
+            dict(rr.multiplicity),
+            rr.label,
+        )
+        assert copy.positive[0] is not rr.positive[0]
+        assert restricted_to_json(copy) == _stdlib_json(rr)
+        for v, w in zip(rr.positive, copy.positive):
+            assert base_coordinates(copy.base, w) == base_coordinates(rr.base, v) == _span_solve(rr.base, v)
+
+    def test_mutable_arguments_are_read_on_every_call(self):
+        half, third = Fraction(1, 2), Fraction(1, 3)
+        base, vec = [[2, 0], [0, 3]], [1, 1]
+        assert base_coordinates(base, vec) == (half, third)
+        vec[0] = 4
+        assert base_coordinates(base, vec) == (2, third)
+        base[0][0] = 4
+        assert base_coordinates(base, vec) == (1, third)
+        rows, pair = ([2, 0], [0, 3]), (1, 1)  # a tuple of lists
+        assert base_coordinates(rows, pair) == (half, third)
+        rows[0][0] = 1
+        assert base_coordinates(rows, pair) == (1, third)
+
+    def test_edited_records_are_written_afresh(self):
+        d = parse_diagram("A3 black=1,3 arrows=")
+        rr = restricted_roots(d)
+        first = restricted_to_json(rr)
+        rr.multiplicity[(1, 2, 1)] = 5
+        assert restricted_to_json(rr) == _stdlib_json(rr) != first
+        for label in ("X1", None):
+            relabelled = involution.RestrictedRoots(rr.base, rr.positive, rr.multiplicity, label)
+            assert restricted_to_json(relabelled) == _stdlib_json(relabelled)
+        assert restricted_to_json(restricted_roots(d)) == first
 
 
 def test_root_images_equal_dense_product(full_catalog):
@@ -662,35 +728,35 @@ class TestWeights:
 
 def test_base_coordinates_against_read_offs(full_catalog, random_diagrams_500):
     # Each coefficient is read at its base vector's private coordinate,
-    # found by scanning; every restricted root lies in the span.
-    # The second pass reads every answer from the memo the first filled.
-    for _ in range(2):
-        before = involution._coordinates.cache_info()
-        calls = 0
-        for d in [rec.diagram for rec in full_catalog] + random_diagrams_500[:100]:
-            rr = restricted_roots(d)
-            n = len(rr.base[0]) if rr.base else 0
-            private = [
-                next(k for k in range(n) if b[k] and sum(1 for o in rr.base if o[k]) == 1)
-                for b in rr.base
-            ]
-            for v in rr.positive:
-                want = tuple(Fraction(v[k], b[k]) for k, b in zip(private, rr.base))
-                assert base_coordinates(rr.base, v) == want, format_diagram(d)
-                calls += 1
-    after = involution._coordinates.cache_info()
-    assert (after.hits - before.hits, after.misses) == (calls, before.misses)
+    # found by scanning; every restricted root lies in the span.  The
+    # second pass over each group reads every answer from the memo the
+    # first filled: the very same tuple, where a miss would build a new one.
+    involution._coordinates_memo.clear()
+    for group in ([rec.diagram for rec in full_catalog], random_diagrams_500[:100]):
+        answers = []
+        for _ in range(2):
+            got = []
+            for d in group:
+                rr = restricted_roots(d)
+                n = len(rr.base[0]) if rr.base else 0
+                private = [
+                    next(k for k in range(n) if b[k] and sum(1 for o in rr.base if o[k]) == 1)
+                    for b in rr.base
+                ]
+                for v in rr.positive:
+                    want = tuple(Fraction(v[k], b[k]) for k, b in zip(private, rr.base))
+                    got.append(base_coordinates(rr.base, v))
+                    assert got[-1] == want, format_diagram(d)
+            answers.append(got)
+        assert all(map(operator.is_, *answers))
 
 
 def test_read_out_memos_hold_the_default_catalog(full_catalog):
-    pairs, texts = set(), set()
-    for rec in full_catalog:
-        rr = restricted_roots(rec.diagram)
-        pairs.update((rr.base, v) for v in rr.positive)
-        texts.update((v, 2) for v in rr.base)
-        texts.update((v, 3) for v in rr.positive)
-    assert involution._coordinates.cache_info().maxsize >= len(pairs)
-    assert involution._coords_json.cache_info().maxsize >= len(texts)
+    rrs = [restricted_roots(rec.diagram) for rec in full_catalog]
+    pairs = sum(len(rr.positive) for rr in rrs)
+    assert (len(rrs), pairs) == (205, 2923)
+    assert involution._json_memo.bound >= len(rrs)
+    assert involution._coordinates_memo.bound >= pairs
 
 
 def _span_solve(base, vec):
@@ -740,6 +806,95 @@ def test_read_out_against_references_twice():
     assert compared > 0 and not bad, bad
 
 
+# Helgason, Differential Geometry, Lie Groups, and Symmetric Spaces, Ch. X,
+# Table VI: the twelve non-compact exceptional forms' restricted type and
+# multiplicities, the long roots first.
+_HELGASON_EXCEPTIONAL = {
+    "e6(6)": ("E6", {1: 36}),
+    "e6(2)": ("F4", {1: 12, 2: 12}),
+    "e6(-14)": ("BC2", {6: 2, 8: 2, 1: 2}),
+    "e6(-26)": ("A2", {8: 3}),
+    "e7(7)": ("E7", {1: 63}),
+    "e7(-5)": ("F4", {1: 12, 4: 12}),
+    "e7(-25)": ("C3", {1: 3, 8: 6}),
+    "e8(8)": ("E8", {1: 120}),
+    "e8(-24)": ("F4", {1: 12, 8: 12}),
+    "f4(4)": ("F4", {1: 24}),
+    "f4(-20)": ("BC1", {8: 1, 7: 1}),
+    "g2(2)": ("G2", {1: 6}),
+}
+_POSITIVE_COUNT = {"A": lambda r: r * (r + 1) // 2, "B": lambda r: r * r, "C": lambda r: r * r,
+                   "D": lambda r: r * (r - 1), "E": {6: 36, 7: 63, 8: 120}.get,
+                   "F": lambda r: 24, "G": lambda r: 6}
+
+
+def _label(family: str, rank: int) -> str:
+    """A type in the package's naming, where C1 = B1 = A1, C2 = B2 and D3 = A3."""
+    return {("B", 1): "A1", ("C", 1): "A1", ("C", 2): "B2", ("D", 3): "A3"}.get(
+        (family, rank), f"{family}{rank}"
+    )
+
+
+def _classical(family: str, q: int, pair: int, short: int = 0, long: int = 0):
+    """A rank-q system of type B, C, D or BC whose q(q - 1) roots e_i +- e_j
+    have multiplicity ``pair``, its q roots e_i ``short`` and its q roots
+    2e_i ``long``, a zero multiplicity meaning no such roots."""
+    mult = Counter({pair: q * (q - 1)}) + Counter({short: q}) + Counter({long: q})
+    del mult[0]
+    return (f"BC{q}" if family == "BC" else _label(family, q)), mult
+
+
+def helgason(name: str) -> tuple[str | None, Counter]:
+    """The restricted type and the multiset of multiplicities of the real
+    form a catalog name denotes, by Helgason's closed forms (Table VI)."""
+    if name in _HELGASON_EXCEPTIONAL:
+        label, mult = _HELGASON_EXCEPTIONAL[name]
+        return label, Counter(mult)
+    if m := re.fullmatch(r"(su|so|sp)\((\d+),(\d+)\)", name):
+        p, q = sorted((int(m[2]), int(m[3])), reverse=True)
+        if m[1] == "su":  # BC_q (2, 2(p - q), 1), or C_q (2, 1)
+            return _classical("BC" if p > q else "C", q, 2, 2 * (p - q), 1)
+        if m[1] == "so":  # B_q (1, p - q), or D_q (1)
+            return _classical("B" if p > q else "D", q, 1, p - q)
+        return _classical("BC" if p > q else "C", q, 4, 4 * (p - q), 3)  # BC_q (4, 4(p - q), 3), or C_q (4, 3)
+    if m := re.fullmatch(r"sp\((\d+),R\)", name):  # C_l (1)
+        return _classical("C", int(m[1]) // 2, 1, 0, 1)
+    if m := re.fullmatch(r"so\*\((\d+)\)", name):  # so*(2n): C_{n/2} (4, 1), or BC_{(n-1)/2} (4, 4, 1)
+        n = int(m[1]) // 2
+        return _classical("C", n // 2, 4, 0, 1) if n % 2 == 0 else _classical("BC", n // 2, 4, 4, 1)
+    if m := re.fullmatch(r"sl\((\d+),R\)|su\*\((\d+)\)", name):  # A_{n-1} (1), and sl(n/2, H): A_{n/2-1} (4)
+        k, mult = (int(m[1]), 1) if m[1] else (int(m[2]) // 2, 4)
+        return _label("A", k - 1), Counter({mult: k * (k - 1) // 2})
+    if m := re.fullmatch(r"(sl|so|sp)\((\d+),C\)|([efg]\d)\(C\)", name):  # complex, as real: (2)
+        if m[3]:
+            family, rank = m[3][0].upper(), int(m[3][1])
+        else:
+            n = int(m[2])
+            family, rank = {"sl": ("A", n - 1), "sp": ("C", n // 2), "so": ("BD"[n % 2 == 0], n // 2)}[m[1]]
+        return _label(family, rank), Counter({2: _POSITIVE_COUNT[family](rank)})
+    if re.fullmatch(r"s[uop]\(\d+\)|[efg]\d", name):  # compact
+        return None, Counter()
+    raise ValueError(f"no closed form for {name!r}")
+
+
+def helgason_mismatches(bound: int) -> tuple[int, list[str]]:
+    """Every form of ``catalog(bound)`` whose restricted type and multiset of
+    multiplicities differ from Helgason's closed forms, by its first name;
+    with how many forms were compared."""
+    forms = catalog(bound)
+    bad = []
+    for rec in forms:
+        rr = restricted_roots(rec.diagram)
+        if (rr.label, Counter(rr.multiplicity.values())) != helgason(rec.name):
+            bad.append(rec.name)
+    return len(forms), bad
+
+
+def test_restricted_roots_equal_helgasons_closed_forms():
+    compared, bad = helgason_mismatches(16)
+    assert compared == 597 and not bad, bad
+
+
 def _read_out_digest(texts, coordinates) -> str:
     h = hashlib.sha256()
     for text, coords in zip(texts, coordinates):
@@ -749,19 +904,24 @@ def _read_out_digest(texts, coordinates) -> str:
 
 
 def test_read_out_misses_in_a_fresh_process(full_catalog):
-    # In this process earlier tests have warmed the memos; a fresh
-    # interpreter computes each distinct key once, on its miss path.
+    # In this process earlier tests have filled the memos; in a fresh
+    # interpreter one pass misses on every call and keeps each answer
+    # once, and a second pass hands out the very same objects.
     code = (
         "import sys\n"
+        "from operator import is_\n"
         "sys.path.insert(0, sys.argv[1])\n"
         "from test_involution import _read_out_digest\n"
         "from satake import base_coordinates, catalog, involution, restricted_roots\n"
-        "rrs = [restricted_roots(rec.diagram) for rec in catalog()]\n"
-        "texts = [involution.restricted_to_json(rr) for rr in rrs]\n"
-        "coords = [[base_coordinates(rr.base, v) for v in rr.positive] for rr in rrs]\n"
+        "def read_out():\n"
+        "    rrs = [restricted_roots(rec.diagram) for rec in catalog()]\n"
+        "    texts = [involution.restricted_to_json(rr) for rr in rrs]\n"
+        "    return texts, [[base_coordinates(rr.base, v) for v in rr.positive] for rr in rrs]\n"
+        "texts, coords = read_out()\n"
         "print(_read_out_digest(texts, coords))\n"
-        "print(involution._coordinates.cache_info().misses)\n"
-        "print(involution._coords_json.cache_info().misses)\n"
+        "print(len(involution._coordinates_memo), len(involution._json_memo))\n"
+        "again = read_out()\n"
+        "print(all(map(is_, texts + sum(coords, []), again[0] + sum(again[1], []))))\n"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(satake.__file__).parents[1])}
     proc = subprocess.run(
@@ -773,9 +933,10 @@ def test_read_out_misses_in_a_fresh_process(full_catalog):
         [_stdlib_json(rr) for rr in rrs],
         [[_span_solve(rr.base, v) for v in rr.positive] for rr in rrs],
     )
-    pairs = {(rr.base, v) for rr in rrs for v in rr.positive}
-    texts = {(v, 2) for rr in rrs for v in rr.base} | {(v, 3) for rr in rrs for v in rr.positive}
-    assert proc.stdout.split() == [want, str(len(pairs)), str(len(texts))]
+    pairs = sum(len(rr.positive) for rr in rrs)
+    # the 33 compact forms share one text, under the one empty tuple ()
+    records = len({id(rr.positive) for rr in rrs})
+    assert proc.stdout.split() == [want, str(pairs), str(records), "True"]
 
 
 @st.composite
