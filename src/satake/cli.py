@@ -242,7 +242,7 @@ def _selftest_checks(d: SatakeDiagram, failures: list[str], tag: str) -> None:
         except ValueError:
             failures.append(f"{tag}: restricted root {v} is outside the base span")
             continue
-        if any(c.denominator != 1 or c < 0 for c in coords):
+        if any(c.denominator != 1 or c.numerator < 0 for c in coords):
             failures.append(f"{tag}: restricted root {v} has coordinates {coords}")
     if rr.positive and rr.label is None:
         failures.append(f"{tag}: restricted system has roots but no type label")

@@ -17,7 +17,7 @@ from functools import cached_property, lru_cache
 
 from ._record import Record
 from .errors import DiagramDataError, DiagramParseError
-from .involution import _Derivation
+from .involution import ValidationReport, _Derivation
 from .rootsys import RootSystem, SimpleType, _components, _layout, build_root_system
 
 
@@ -127,15 +127,6 @@ def _items(value, check: str) -> tuple | frozenset:
         raise DiagramDataError([(check, repr(value))]) from None
 
 
-class ValidationReport(Record):
-    """``ok``, and the ``(check, detail)`` failures when not."""
-
-    _fields = ("ok", "failures")
-
-    def __str__(self) -> str:
-        return "ok" if self.ok else str(DiagramDataError(self.failures))
-
-
 def validate(d: SatakeDiagram) -> ValidationReport:
     """Whether ``d`` is the Satake diagram of some real form: the structural
     and node-map failures alone, or else one ``"not admissible"`` per white
@@ -143,9 +134,10 @@ def validate(d: SatakeDiagram) -> ValidationReport:
     the black set (Araki 1962, J. Math. Osaka City Univ. 13; Kolb 2014, Adv.
     Math. 267, Def. 2.3(3)).  It builds no Weyl word; the one root closure
     is of each black component's dual, kept per shape, never of ``d``'s types.
+    The report is the diagram's one, kept by the stage that applies
+    Araki's rule, so every call on ``d`` returns that same object.
     """
-    fails = d._admissibility
-    return ValidationReport(not fails, fails)
+    return d._admissibility
 
 
 def format_diagram(d: SatakeDiagram) -> str:

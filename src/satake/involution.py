@@ -70,6 +70,15 @@ from .rootsys import (
 Failures = tuple[tuple[str, str], ...]
 
 
+class ValidationReport(Record):
+    """``ok``, and the ``(check, detail)`` failures when not."""
+
+    _fields = ("ok", "failures")
+
+    def __str__(self) -> str:
+        return "ok" if self.ok else str(DiagramDataError(self.failures))
+
+
 def structural_failures(d) -> Failures:
     """Checks that only involve the node sets, not the lattice action.
 
@@ -108,9 +117,10 @@ class _Derivation:
     failures; the later stages reach the node map through it, so they
     raise its failures, and the lattice involution through
     ``dual_cartan_involution`` likewise, so each layer's public function
-    is where its work is done.  ``_admissibility`` holds the node map's
-    failures, or else Araki's rule's, for ``validate``; both read the
-    black components, as the selftest's flip check does.
+    is where its work is done.  ``_admissibility`` holds the diagram's one
+    ``ValidationReport``, of the node map's failures or else Araki's
+    rule's, for ``validate`` and the verdict; both read the black
+    components, as the selftest's flip check does.
     """
 
     @cached_property
@@ -139,20 +149,20 @@ class _Derivation:
         return tuple(perm), fails
 
     @cached_property
-    def _admissibility(self) -> Failures:
+    def _admissibility(self) -> ValidationReport:
         """Araki's rule: ``<alpha_j, 2 rho_X^vee>`` even at each white j the node map fixes."""
         perm, fails = self._node_map
-        if fails:
-            return fails
-        a = self.rs.cartan
-        k: dict[int, int] = {}
-        for comp, _, coeffs in self._black_components:
-            k.update(zip(comp, coeffs))
-        return tuple(
-            ("not admissible", f"white node {j + 1}: <alpha_{j + 1}, rho_X^vee> = {v}/2")
-            for j in self.whites
-            if perm[j] == j and (v := sum(k[b] * a[b][j] for b in k)) % 2
-        )
+        if not fails:
+            a = self.rs.cartan
+            k: dict[int, int] = {}
+            for comp, _, coeffs in self._black_components:
+                k.update(zip(comp, coeffs))
+            fails = tuple(
+                ("not admissible", f"white node {j + 1}: <alpha_{j + 1}, rho_X^vee> = {v}/2")
+                for j in self.whites
+                if perm[j] == j and (v := sum(k[b] * a[b][j] for b in k)) % 2
+            )
+        return ValidationReport(not fails, fails)
 
     @cached_property
     def _theta(self) -> Matrix:

@@ -14,11 +14,14 @@ whether the diagram induces the identity node involution: when it does
 not, the descent argument breaks and known examples show the conclusion
 can genuinely fail, so nothing is guaranteed: each graded axis stays at
 "unknown" and the equivariant map is not guaranteed.
+
+The decision table has four rows, and each is one module-level record
+in ``TABLE``: every verdict is one of them, and its JSON text is written
+once and kept by the record's identity.  A record built by hand is
+written from its own values on every call.
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 from ._record import Record, _json_object
 from .errors import DiagramDataError
@@ -75,58 +78,50 @@ class StructureVerdict(Record):
     )
 
 
+# The decision table's rows: epsilon != id; epsilon = id with H not spherical;
+# spherical; spherical and self-normalizing.
+NONIDENTITY, NOT_SPHERICAL, SPHERICAL, SPHERICAL_SELF_NORMALIZING = TABLE = (
+    StructureVerdict("unknown", False, "unknown", "unknown", ("Sec6-example",),
+                     (_SCOPE_CAVEAT, _NONIDENTITY_CAVEAT)),
+    StructureVerdict("hypothesis-required", False, "unknown", "unknown", ("Thm2.1",),
+                     (_SCOPE_CAVEAT, _CONJUGACY_CAVEAT)),
+    StructureVerdict("guaranteed", True, "not-guaranteed", "not-applicable", ("Thm1.1",),
+                     (_SCOPE_CAVEAT, _INVOLUTIVE_CAVEAT, _COMPLETION_CAVEAT)),
+    StructureVerdict("guaranteed", True, "exists-unique", "exists-unique-structure",
+                     ("Thm1.1", "Thm1.2"), (_SCOPE_CAVEAT,)),
+)
+
+
 def real_structure_verdict(
     diagram, hypotheses: SubgroupHypotheses = SubgroupHypotheses()
 ) -> StructureVerdict:
-    """Decision table keyed on the induced node involution and the hypotheses;
-    a diagram that ``validate`` rejects raises ``DiagramDataError``."""
+    """The row of ``TABLE`` the induced node involution and the hypotheses
+    select, that very record; a diagram that ``validate`` rejects raises
+    ``DiagramDataError``."""
     if not isinstance(hypotheses, SubgroupHypotheses):
         raise TypeError(f"hypotheses are a SubgroupHypotheses, got {hypotheses!r}")
-    if fails := diagram._admissibility:
-        raise DiagramDataError(fails)
+    if not (report := diagram._admissibility).ok:
+        raise DiagramDataError(report.failures)
     perm = satake_automorphism(diagram)
-    identity = perm == tuple(range(len(perm)))
-    if not identity:
-        return StructureVerdict(
-            subgroup_conjugacy="unknown",
-            equivariant_map_exists=False,
-            real_structure_on_homogeneous_space="unknown",
-            real_structure_on_completion="unknown",
-            citations=("Sec6-example",),
-            caveats=(_SCOPE_CAVEAT, _NONIDENTITY_CAVEAT),
-        )
+    if perm != tuple(range(len(perm))):
+        return NONIDENTITY
     if not hypotheses.spherical:
-        return StructureVerdict(
-            subgroup_conjugacy="hypothesis-required",
-            equivariant_map_exists=False,
-            real_structure_on_homogeneous_space="unknown",
-            real_structure_on_completion="unknown",
-            citations=("Thm2.1",),
-            caveats=(_SCOPE_CAVEAT, _CONJUGACY_CAVEAT),
-        )
-    if hypotheses.self_normalizing:
-        return StructureVerdict(
-            subgroup_conjugacy="guaranteed",
-            equivariant_map_exists=True,
-            real_structure_on_homogeneous_space="exists-unique",
-            real_structure_on_completion="exists-unique-structure",
-            citations=("Thm1.1", "Thm1.2"),
-            caveats=(_SCOPE_CAVEAT,),
-        )
-    return StructureVerdict(
-        subgroup_conjugacy="guaranteed",
-        equivariant_map_exists=True,
-        real_structure_on_homogeneous_space="not-guaranteed",
-        real_structure_on_completion="not-applicable",
-        citations=("Thm1.1",),
-        caveats=(_SCOPE_CAVEAT, _INVOLUTIVE_CAVEAT, _COMPLETION_CAVEAT),
-    )
+        return NOT_SPHERICAL
+    return SPHERICAL_SELF_NORMALIZING if hypotheses.self_normalizing else SPHERICAL
 
 
 def verdict_to_json(v: StructureVerdict) -> str:
-    """``json.dumps(payload, indent=2)`` of the fields in order."""
-    return _verdict_json(v, 0)
+    """``json.dumps(payload, indent=2)`` of the fields in order.  A row of
+    ``TABLE`` has its text written on first use and kept by identity; any
+    other record is written from its own values on every call."""
+    text = _texts.get(id(v))
+    if text is None:
+        text = _json_object(v, 0)
+        if id(v) in _texts:
+            _texts[id(v)] = text
+    return text
 
 
-# The decision table yields four verdicts, and the text is immutable.
-_verdict_json = lru_cache(maxsize=16)(_json_object)
+# Keyed on the rows' ids, which no other object can take: the rows live as
+# long as the module.
+_texts: dict[int, str | None] = dict.fromkeys(map(id, TABLE))

@@ -40,6 +40,7 @@ from satake.verdict import (
     COMPLETION_ORDER,
     CONJUGACY_ORDER,
     HOMOGENEOUS_ORDER,
+    TABLE,
     SubgroupHypotheses,
     real_structure_verdict,
     verdict_to_json,
@@ -347,6 +348,8 @@ def test_criterion_7_verdicts(full_catalog):
                         assert all(x <= y for x, y in zip(wa, sa)), rec.name
             for h in combos:
                 v = real_structure_verdict(rec.diagram, h)
+                # one of the decision table's four records, not a copy
+                assert any(v is row for row in TABLE), rec.name
                 if v.real_structure_on_homogeneous_space == "exists-unique":
                     assert v.equivariant_map_exists, rec.name
                 assert v.caveats[0].startswith("conclusions are stated"), rec.name

@@ -324,7 +324,7 @@ class TestValidate:
     def test_node_in_two_arrows_is_flagged(self):
         d = SatakeDiagram.create(["A3"], arrows=[(0, 1), (0, 2)])
         report = validate(d)
-        assert not report.ok
+        assert not report.ok and validate(d) is report
         assert any(check == "node in more than one arrow" for check, _ in report.failures)
 
     def test_bond_breaking_arrow_is_flagged(self):
@@ -365,7 +365,9 @@ class TestValidate:
 
     def test_valid_examples(self):
         for text in CANONICAL:
-            assert validate(parse_diagram(text)).ok, text
+            report = validate(parse_diagram(text))
+            # the parsed diagram's one report, not a new one per call
+            assert report.ok and validate(parse_diagram(text)) is report, text
 
     def test_report_str(self):
         assert str(validate(parse_diagram("A2 black= arrows="))) == "ok"

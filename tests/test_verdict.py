@@ -48,11 +48,11 @@ def test_diagram_of_no_real_form_is_refused(hyp):
 
 
 def test_json_is_the_value_of_the_verdict():
-    # the text is memoised per verdict value: equal verdicts give equal
-    # text, and a verdict outside the decision table is written too
+    # a verdict is one of the decision table's records, whose text is kept
+    # by identity, and a verdict outside the table is written too
     v = real_structure_verdict(lookup("sl(3,R)").diagram, SubgroupHypotheses(True, False))
     again = real_structure_verdict(lookup("sl(4,R)").diagram, SubgroupHypotheses(True, False))
-    assert v is not again and verdict_to_json(v) == verdict_to_json(again)
+    assert v is again and verdict_to_json(v) == verdict_to_json(again)
     odd = StructureVerdict(
         v.subgroup_conjugacy,
         v.equivariant_map_exists,
@@ -91,6 +91,24 @@ def test_json_text_is_json_dumps(tag, name, hyp):
 def test_json_text_of_a_hand_built_verdict(citations, caveats):
     v = StructureVerdict('say "unknown"', False, "back\\slash", "\u00fcber", citations, caveats)
     assert verdict_to_json(v) == _dumps(v)
+
+
+def test_equal_verdicts_are_written_from_their_own_values():
+    # 1 == True, so a text kept by the record's value would hand the later
+    # of two equal records the earlier one's text, whichever came first
+    row = real_structure_verdict(lookup("sl(3,R)").diagram, SubgroupHypotheses(True, True))
+    for order in ((1, True), (True, 1)):
+        for flag in order:
+            v = StructureVerdict(
+                row.subgroup_conjugacy,
+                flag,
+                row.real_structure_on_homogeneous_space,
+                row.real_structure_on_completion,
+                row.citations,
+                row.caveats,
+            )
+            assert v == row and verdict_to_json(v) == _dumps(v)
+            assert verdict_to_json(row) == _dumps(row)
 
 
 def test_json_field_order():
