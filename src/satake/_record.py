@@ -10,9 +10,9 @@ class Record:
     of their values in ``_fields`` order, in one write to ``self.__dict__``;
     a subclass that checks its arguments makes that write itself.  Equality
     (same class, equal keys), hash and ``repr`` read ``_key``.  Assigning
-    or deleting an attribute raises ``AttributeError``;
-    ``cached_property`` writes the instance dict directly, so cached
-    stages still work and stay outside the key.
+    or deleting an attribute raises ``AttributeError``; a ``stage``
+    writes the instance dict directly, so it still works and stays
+    outside the key.
     """
 
     __slots__ = ()
@@ -40,6 +40,21 @@ class Record:
     def __repr__(self):
         args = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._key))
         return f"{type(self).__qualname__}({args})"
+
+
+class stage:
+    """``cached_property`` without its lock: ``func`` of the instance, kept
+    in its ``__dict__`` on first read, or nothing if ``func`` raises.  Two threads
+    reading at once may both compute it, as on Python 3.12+, and get equal values."""
+
+    def __init__(self, func):
+        self.func, self.__doc__ = func, func.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, cls=None):
+        return self if obj is None else obj.__dict__.setdefault(self.name, self.func(obj))
 
 
 def _bind(cls: type[Record], args: tuple, kwargs: dict) -> tuple:

@@ -129,7 +129,7 @@ def _cmd_show(args: argparse.Namespace) -> int:
     print(f"{_bold('diagram:', on)} {format_diagram(d)}")
     print(render_diagram(d))
     print(f"{_bold('node involution:', on)} {permutation_cycles(perm)}")
-    print(f"{_bold('identity involution:', on)} {'yes' if perm == tuple(range(d.n)) else 'no'}")
+    print(f"{_bold('identity involution:', on)} {'yes' if perm == d.rs._identity else 'no'}")
     print(f"{_bold('restricted type:', on)} {rr.label if rr.label else 'none (compact)'}")
     return 0
 

@@ -13,9 +13,9 @@ second component after the first.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
-from ._record import Record
+from ._record import Record, stage
 from .errors import DiagramDataError, DiagramParseError
 from .involution import ValidationReport, _Derivation
 from .rootsys import RootSystem, SimpleType, _components, _layout, build_root_system
@@ -93,7 +93,7 @@ class SatakeDiagram(_Derivation, Record):
     def is_doubled(self) -> bool:
         return len(self.types) == 2
 
-    @cached_property
+    @stage
     def whites(self) -> tuple[int, ...]:
         return tuple(i for i in range(self.n) if i not in self.black)
 
@@ -102,7 +102,7 @@ class SatakeDiagram(_Derivation, Record):
         """Arrow pairing as a total involution of the white nodes (a copy)."""
         return dict(self._omega)
 
-    @cached_property
+    @stage
     def _omega(self) -> dict[int, int]:
         out = {i: i for i in self.whites}
         for i, j in self.arrows:

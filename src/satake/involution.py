@@ -5,8 +5,8 @@ pairing of white nodes, this module computes:
 
 * the induced node involution on the whole diagram, which acts as the
   arrow pairing on white nodes and on black nodes as the flip -w0 of
-  the black subsystem, held with 2 rho^vee by one memo per component
-  shape (``_black_shape``); its bond checks read moved nodes only;
+  the black subsystem, held with 2 rho^vee in the root system's table,
+  filled from one memo per shape (``_black_shape``); its bond checks read moved nodes only;
 * the root-lattice involution that fixes every black simple root and
   sends every positive root with white support to a negative root;
 * the correction coefficients over black nodes that appear when that
@@ -44,12 +44,12 @@ computes its answer whole, so an equal float never shares an int's.
 from __future__ import annotations
 
 from collections.abc import Container, Sequence
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import chain, repeat
 from math import lcm
 from operator import add, index, is_, mul, neg, sub
 
-from ._record import Record, _json_list
+from ._record import Record, _json_list, stage
 from .errors import DiagramDataError
 from .rootsys import (
     Coords,
@@ -109,7 +109,7 @@ def structural_failures(d) -> Failures:
 class _Derivation:
     """The derivation of a ``SatakeDiagram``, mixed into that class.
 
-    Every stage is a ``cached_property`` computed on first need and kept
+    Every stage is a ``_record.stage``, computed on first need and kept
     on the instance, so it is computed once however many accessors ask,
     and it goes away with the diagram, which the parse memo shares and
     keeps while its text stays there.  The node map holds
@@ -123,16 +123,17 @@ class _Derivation:
     components, as the selftest's flip check does.
     """
 
-    @cached_property
+    @stage
     def _black_components(self) -> tuple[tuple[tuple[int, ...], tuple, Coords], ...]:
-        """Each black component, with its flip and 2 rho^vee from the per-shape memo."""
-        a = self.rs.cartan
-        return tuple(
-            (comp, *_black_shape(tuple([tuple([a[i][j] for j in comp]) for i in comp])))
+        """Each black component, with its flip and 2 rho^vee, from the root system's table."""
+        table, a = self.rs._black_table, self.rs.cartan
+        return tuple([
+            table.get(comp) or table.setdefault(
+                comp, (comp, *_black_shape(tuple([tuple([a[i][j] for j in comp]) for i in comp]))))
             for comp in _connected_sets(self.rs._nbrs, self.black)
-        )
+        ])
 
-    @cached_property
+    @stage
     def _node_map(self) -> tuple[tuple[int, ...], Failures]:
         fails = structural_failures(self)
         if fails:
@@ -148,15 +149,13 @@ class _Derivation:
             fails = (("node map breaks the Cartan matrix", _perm_text(perm)),)
         return tuple(perm), fails
 
-    @cached_property
+    @stage
     def _admissibility(self) -> ValidationReport:
         """Araki's rule: ``<alpha_j, 2 rho_X^vee>`` even at each white j the node map fixes."""
         perm, fails = self._node_map
         if not fails:
             a = self.rs.cartan
-            k: dict[int, int] = {}
-            for comp, _, coeffs in self._black_components:
-                k.update(zip(comp, coeffs))
+            k = {b: x for comp, _, coeffs in self._black_components for b, x in zip(comp, coeffs)}
             fails = tuple(
                 ("not admissible", f"white node {j + 1}: <alpha_{j + 1}, rho_X^vee> = {v}/2")
                 for j in self.whites
@@ -164,7 +163,7 @@ class _Derivation:
             )
         return ValidationReport(not fails, fails)
 
-    @cached_property
+    @stage
     def _theta(self) -> Matrix:
         """The lattice involution's matrix; column j is the image of alpha_j."""
         perm = satake_automorphism(self)
@@ -179,7 +178,7 @@ class _Derivation:
         ]
         return tuple(zip(*cols))
 
-    @cached_property
+    @stage
     def _corrections(self) -> dict[int, dict[int, int]]:
         theta = dual_cartan_involution(self)
         out: dict[int, dict[int, int]] = {}
@@ -188,7 +187,7 @@ class _Derivation:
             out[i] = {b: vec[b] for b in sorted(self.black)}
         return out
 
-    @cached_property
+    @stage
     def _restricted(self) -> "RestrictedRoots":
         seeds, vectors = _root_vectors(self)
         mult: dict[Coords, int] = {}

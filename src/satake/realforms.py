@@ -245,15 +245,9 @@ def classify(rank_bound: int = 8) -> ClassificationTable:
     """Induced-node-involution classification of every catalog entry."""
     rows = []
     for rec in catalog(rank_bound):
-        perm = satake_automorphism(rec.diagram)
-        rows.append(
-            ClassificationRow(
-                rec.name,
-                rec.text,
-                permutation_cycles(perm),
-                perm == tuple(range(len(perm))),
-            )
-        )
+        perm = satake_automorphism(d := rec.diagram)
+        is_identity = perm == d.rs._identity
+        rows.append(ClassificationRow(rec.name, rec.text, permutation_cycles(perm), is_identity))
     return ClassificationTable(rank_bound, tuple(rows))
 
 

@@ -24,11 +24,11 @@ from __future__ import annotations
 
 import re
 from collections.abc import Iterable, Sequence
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import gcd
 from operator import add, mul
 
-from ._record import Record
+from ._record import Record, stage
 
 Coords = tuple[int, ...]
 Matrix = tuple[tuple[int, ...], ...]
@@ -170,11 +170,11 @@ class RootSystem(Record):
 
     _fields = ("components", "cartan", "symmetrizer")
 
-    @cached_property
+    @stage
     def n(self) -> int:
         return len(self.cartan)
 
-    @cached_property
+    @stage
     def positive_roots(self) -> tuple[Coords, ...]:
         """Sorted by height, then lexicographically.  Each component's roots
         are closed once per type and padded into place; that sort is the
@@ -187,7 +187,7 @@ class RootSystem(Record):
         roots.sort(key=lambda r: (sum(r), r))
         return tuple(roots)
 
-    @cached_property
+    @stage
     def _basis(self) -> tuple[Coords, ...]:
         return tuple(tuple(1 if j == i else 0 for j in range(self.n)) for i in range(self.n))
 
@@ -201,18 +201,26 @@ class RootSystem(Record):
         _check_node(self, i)
         return sum(map(mul, self.cartan[i], v))
 
-    @cached_property
+    @stage
     def _nbrs(self) -> tuple[tuple[int, ...], ...]:
         """The bonded neighbours of each node, ascending."""
         return tuple(
             tuple(j for j, x in enumerate(row) if x and j != i) for i, row in enumerate(self.cartan)
         )
 
-    @cached_property
+    @stage
+    def _identity(self) -> tuple[int, ...]:
+        return tuple(range(self.n))
+
+    @stage
+    def _black_table(self) -> dict:
+        return {}  # black components' data by node tuple, filled in ``involution``
+
+    @stage
     def positive_root_set(self) -> frozenset[Coords]:
         return frozenset(self.positive_roots)
 
-    @cached_property
+    @stage
     def _predecessors(self) -> tuple[Coords, Coords]:
         """Parallel tuples ``(p, i)``: positive root ``k`` is ``alpha_{i[k]}``
         if ``p[k]`` is -1, and ``positive_roots[p[k]] + alpha_{i[k]}`` otherwise.
@@ -241,12 +249,12 @@ class RootSystem(Record):
                 raise RuntimeError(f"positive root {r} has no positive predecessor")
         return tuple(preds), tuple(nodes)
 
-    @cached_property
+    @stage
     def component_nodes(self) -> tuple[tuple[int, ...], ...]:
         r = self.components[0].rank  # a doubled system's components are equal
         return tuple(tuple(range(k * r, k * r + r)) for k in range(len(self.components)))
 
-    @cached_property
+    @stage
     def _form(self) -> Matrix:
         """Gram matrix of ``bilinear`` on the simple roots: ``d_i a_ij``."""
         return tuple(tuple(d * x for x in row) for d, row in zip(self.symmetrizer, self.cartan))
@@ -428,15 +436,17 @@ def _connected_sets(
     off-diagonal entries give them."""
     remaining = set(nodes)
     out = []
-    while remaining:
-        comp = [min(remaining)]
-        remaining.remove(comp[0])
-        for u in comp:  # each node reached is appended, then its bonds read once
-            linked = [v for v in nbrs[u] if v in remaining]
-            remaining.difference_update(linked)
-            comp += linked
-        out.append(tuple(sorted(comp)))
-    return tuple(out)  # seeded at each least remaining node, so already sorted
+    for seed in sorted(remaining):
+        if seed in remaining:
+            remaining.remove(seed)
+            comp = [seed]
+            for u in comp:  # each node reached is appended, then its bonds read once
+                for v in nbrs[u]:
+                    if v in remaining:
+                        remaining.remove(v)
+                        comp.append(v)
+            out.append(tuple(sorted(comp)))
+    return tuple(out)  # seeded at each least unreached node, so already sorted
 
 
 def subdiagram_cartan(rs: RootSystem, nodes: Sequence[int]) -> Matrix:

@@ -103,7 +103,7 @@ def real_structure_verdict(
     if not (report := diagram._admissibility).ok:
         raise DiagramDataError(report.failures)
     perm = satake_automorphism(diagram)
-    if perm != tuple(range(len(perm))):
+    if perm != diagram.rs._identity:
         return NONIDENTITY
     if not hypotheses.spherical:
         return NOT_SPHERICAL

@@ -349,8 +349,78 @@ def _black_blocks() -> dict:
     return out
 
 
+def _grown_connected_sets(cartan) -> set[tuple[int, ...]]:
+    """Every connected node set of the diagram of ``cartan``, as a sorted
+    tuple: each single node, then each set grown by one node that a Cartan
+    entry bonds to it, level by level."""
+    n = len(cartan)
+    level, out = {(i,) for i in range(n)}, set()
+    while level:
+        out |= level
+        level = {
+            tuple(sorted((*nodes, v)))
+            for nodes in level
+            for u in nodes
+            for v in range(n)
+            if v not in nodes and cartan[u][v]
+        }
+    return out
+
+
+def black_table_mismatches(bound: int) -> tuple[dict[str, int], list[str]]:
+    """Every connected node set of every simple and doubled type of rank at
+    most ``bound`` per component, painted black: the entry of the root
+    system's component table against the oracles that share none of its
+    code, ``induced_node_permutation`` for the flip and the pairing
+    ``<alpha_j, 2 rho^vee> = 2`` at each of the component's simple roots;
+    then the table's size against the count of connected node sets.
+    Returns each system's table size and the mismatches.  The tier-1 test
+    runs it at rank 8, CI at rank 32."""
+    sizes, bad = {}, []
+    for t in [f"{f}{n}" for f in _FAMILIES for n in range(1, bound + 1) if _rank_ok(f, n)]:
+        for types in ([t], [t, t]):
+            rs = build_root_system(types)
+            connected = _grown_connected_sets(rs.cartan)
+            for comp in sorted(connected):
+                if components_by_matrix_scan(rs.cartan, comp) != (comp,):
+                    bad.append(f"{types} {comp}: grown but not connected")
+                (entry,) = SatakeDiagram(types, comp, ())._black_components
+                _, flip, k = entry
+                perm = {i: i for i in comp}
+                perm.update((comp[x], comp[y]) for x, y in flip)
+                if entry is not rs._black_table[comp] or entry[0] != comp:
+                    bad.append(f"{types} {comp}: not the table's entry")
+                if perm != induced_node_permutation(rs, comp):
+                    bad.append(f"{types} {comp}: flip {flip} is not -w0")
+                if len(k) != len(comp) or any(
+                    sum(x * rs.cartan[b][j] for x, b in zip(k, comp)) != 2 for j in comp
+                ):
+                    bad.append(f"{types} {comp}: 2 rho^vee {k} does not pair to 2")
+            sizes["x".join(types)] = len(rs._black_table)
+            if len(rs._black_table) != len(connected):
+                bad.append(f"{types}: {len(rs._black_table)} entries, {len(connected)} sets")
+    return sizes, bad
+
+
+def _scanned_connected_count(types) -> int:
+    """How many node subsets ``components_by_matrix_scan`` finds connected.
+    No bond joins two components, so each connected set lies in one, and
+    only the subsets of each component's nodes are scanned."""
+    rs = build_root_system(types)
+    r = rs.n // len(types)
+    parts = tuple(tuple(range(k, k + r)) for k in range(0, rs.n, r))
+    assert components_by_matrix_scan(rs.cartan, range(rs.n)) == parts
+    return sum(
+        len(components_by_matrix_scan(rs.cartan, sub)) == 1
+        for nodes in parts
+        for m in range(1, r + 1)
+        for sub in itertools.combinations(nodes, m)
+    )
+
+
 class TestBlackShape:
-    """The per-shape memo against oracles that share none of its code."""
+    """The per-shape memo and the per-system table of black components
+    against oracles that share none of their code."""
 
     def test_block_count(self):
         # the 41 blocks up to rank 8 that the memo's bound is sized for, and the 4 of rank 32
@@ -371,6 +441,15 @@ class TestBlackShape:
             n = len(block)
             assert len(k) == n
             assert all(sum(k[b] * block[b][j] for b in range(n)) == 2 for j in range(n)), block
+
+    def test_table_against_the_word_and_the_pairing(self):
+        sizes, bad = black_table_mismatches(8)
+        assert bad == []
+        # one entry per connected node set, counted by a scan of every node
+        # subset: 36 for A8, 41 for D8, 44 for E8, twice that when doubled
+        assert sizes == {name: _scanned_connected_count(name.split("x")) for name in sizes}
+        assert (sizes["A8"], sizes["D8"], sizes["E8"], sizes["E8xE8"]) == (36, 41, 44, 88)
+        assert len(sizes) == 2 * 33
 
 
 class TestRestricted:

@@ -8,8 +8,11 @@ from __future__ import annotations
 
 import pytest
 
+from satake import involution, rootsys
+from satake._record import stage
 from satake.realforms import ClassificationRow, ClassificationTable, RealFormRecord
 from satake.diagram import SatakeDiagram, ValidationReport, parse_diagram
+from satake.errors import DiagramDataError
 from satake.involution import RestrictedRoots, restricted_roots
 from satake.rootsys import RootSystem, SimpleType, build_root_system
 from satake.verdict import StructureVerdict, SubgroupHypotheses, real_structure_verdict
@@ -183,3 +186,53 @@ def test_cached_stages_do_not_change_the_value():
     assert d.rs is build_root_system(["E6"]) and len(d.rs.positive_roots) == 36
     rec = RealFormRecord(("e6(-14)",), "E6 black=3,4,5 arrows=1:6")
     assert rec.diagram == d and rec == RealFormRecord(("e6(-14)",), rec.text)
+
+
+STAGES = [
+    (cls, name)
+    for cls in (rootsys.RootSystem, SatakeDiagram, involution._Derivation)
+    for name, attr in vars(cls).items()
+    if isinstance(attr, stage)
+]
+
+
+class TestStage:
+    """The descriptor that computes each derived value on first read."""
+
+    def test_every_stage_is_one(self):
+        names = {name for _, name in STAGES}
+        assert {"_nbrs", "_black_table", "whites", "_omega", "_node_map", "_theta"} <= names
+        for cls, name in STAGES:
+            attr = getattr(cls, name)  # class access returns the descriptor
+            assert attr is vars(cls)[name] and attr.name == name
+            assert callable(attr.func) and attr.func.__name__ == name
+
+    def test_first_read_fills_the_instance_dict(self, monkeypatch):
+        calls = []
+        d = SatakeDiagram.create(["E6"], [2, 3, 4], [(0, 5)])
+        node_map = vars(involution._Derivation)["_node_map"]
+        build = node_map.func
+        monkeypatch.setattr(node_map, "func", lambda d: calls.append(d) or build(d))
+        assert "_node_map" not in vars(d)
+        first = d._node_map
+        assert vars(d)["_node_map"] is first and calls == [d]
+        assert d._node_map is first and calls == [d]  # the second read finds the dict
+
+    def test_a_stage_that_raises_keeps_nothing(self):
+        d = SatakeDiagram.create(["A3"], [0], [(1, 2)])
+        for _ in range(2):
+            with pytest.raises(DiagramDataError, match="node map breaks the Cartan matrix"):
+                d._theta
+            assert "_theta" not in vars(d)
+        _, fails = vars(d)["_node_map"]  # the node map is kept, with its failure
+        assert fails[0][0] == "node map breaks the Cartan matrix"
+
+    def test_fields_stay_read_only_after_a_read(self):
+        d = SatakeDiagram.create(["A3"], [1], [(0, 2)])
+        assert d.whites == (0, 2)
+        for name in ("black", "whites", "_theta"):
+            with pytest.raises(AttributeError):
+                setattr(d, name, None)
+        with pytest.raises(AttributeError):
+            d.rs._identity = ()
+        assert d.whites == (0, 2) and d.rs._identity == (0, 1, 2)

@@ -606,10 +606,15 @@ def test_longest_element_against_root_sum(types):
         assert longest_element(rs, subset) == _root_sum_word(rs, subset)
 
 
-@pytest.mark.parametrize("name", [t for t in ALL_SIMPLE if SimpleType.parse(t).rank <= 6])
+@pytest.mark.parametrize(
+    "name",
+    [t for t in ALL_SIMPLE if SimpleType.parse(t).rank <= 6]
+    + [f"{t}x{t}" for t in ALL_SIMPLE if SimpleType.parse(t).rank <= 4],
+)
 def test_connected_sets_walk_equals_a_matrix_scan(name):
-    # every node subset: the walk over neighbour lists against the Cartan rows
-    rs = _sys(name)
+    # every node subset, the empty one included: the walk over neighbour
+    # lists against the Cartan rows
+    rs = _sys(name.split("x"))
     for mask in range(1 << rs.n):
         subset = [k for k in range(rs.n) if mask >> k & 1]
         want = components_by_matrix_scan(rs.cartan, subset)
