@@ -254,16 +254,12 @@ class RootSystem(Record):
         r = self.components[0].rank  # a doubled system's components are equal
         return tuple(tuple(range(k * r, k * r + r)) for k in range(len(self.components)))
 
-    @stage
-    def _form(self) -> Matrix:
-        """Gram matrix of ``bilinear`` on the simple roots: ``d_i a_ij``."""
-        return tuple(tuple(d * x for x in row) for d, row in zip(self.symmetrizer, self.cartan))
-
     def bilinear(self, v: Sequence[int], w: Sequence[int]) -> int:
         """Invariant symmetric form with ``B(alpha_i, alpha_j) = d_i a_ij``."""
         _check_vector(self, v)
         _check_vector(self, w)
-        return sum([x * sum(map(mul, row, w)) for x, row in zip(v, self._form) if x])
+        return sum([x * d * sum(map(mul, row, w))
+                    for x, d, row in zip(v, self.symmetrizer, self.cartan) if x])
 
 
 def _components(types: Sequence[SimpleType | str]) -> tuple[SimpleType, ...]:
@@ -283,7 +279,13 @@ def _components(types: Sequence[SimpleType | str]) -> tuple[SimpleType, ...]:
 def build_root_system(types: Sequence[SimpleType | str]) -> RootSystem:
     """The root system of one simple type or a doubled pair (a complex algebra
     as real), each given as a ``SimpleType`` or a string like ``"A3"``."""
+    if type(types) is tuple and all([type(t) is str for t in types]):
+        return _system_by_names(types)
     return _build_cached(_components(types))
+
+
+# A tuple of names, looked up before it is parsed.  Bounded: "A03" spells A3 too.
+_system_by_names = lru_cache(maxsize=256)(lambda names: _build_cached(_components(names)))
 
 
 @lru_cache(maxsize=None)
@@ -387,34 +389,44 @@ def induced_node_permutation(rs: RootSystem, nodes: Iterable[int]) -> dict[int, 
 
     ``w`` is the longest element on the subset; it maps every simple root
     of the subset to the negative of another one, so the result is a
-    total involution on the subset.
+    total involution on the subset.  The word keeps the subset's span, so it
+    acts on all the images at once, in ``subdiagram_cartan``'s coordinates:
+    row y holds coordinate y of each, and ``s_u`` sets row u to minus itself
+    minus ``a_uj`` times row j for each bond ``(u, j)``.
     """
     subset = sorted(set(nodes))
-    word = longest_element(rs, subset)
+    word = [subset.index(u) for u in reversed(longest_element(rs, subset))]
+    a, k = subdiagram_cartan(rs, subset), len(subset)
+    bonds = [[(j, c) for j, c in enumerate(row) if c and j != u] for u, row in enumerate(a)]
+    rows = [[int(y == x) for x in range(k)] for y in range(k)]
+    for u in word:
+        row = [-x for x in rows[u]]
+        for j, c in bonds[u]:
+            row = [x - c * y for x, y in zip(row, rows[j])]
+        rows[u] = row
     out: dict[int, int] = {}
-    for i in subset:
-        neg = tuple(-x for x in apply_word(rs, word, rs.simple_root(i)))
-        for j in subset:
-            if neg == rs.simple_root(j):
-                out[i] = j
-                break
-        else:
+    for i, image in zip(subset, zip(*rows)):
+        if sorted(image) != [-1] + [0] * (k - 1):
             raise RuntimeError(
                 f"-w(alpha_{i + 1}) is not a simple root of the subset; "
                 "longest-element computation is broken"
             )
+        out[i] = subset[image.index(-1)]
     return out
 
 
 def is_diagram_automorphism(rs: RootSystem, perm: Sequence[int]) -> bool:
-    """True when the node permutation preserves every Cartan entry.
-
-    Only the bonds at moved nodes are read, both ways, as the matrix is not
-    symmetric: a bond between fixed nodes is kept, and a bijection keeping
-    every bond maps the bonds onto the bonds, so it keeps every non-bond.
-    """
+    """True when the node permutation preserves every Cartan entry."""
     if sorted(perm) != list(range(rs.n)):
         raise ValueError("not a permutation of the node indices")
+    return _keeps_bonds(rs, perm)
+
+
+def _keeps_bonds(rs: RootSystem, perm: Sequence[int]) -> bool:
+    """Whether a permutation keeps every Cartan entry.  Only the bonds at moved
+    nodes are read, both ways, as the matrix is not symmetric: a bond between
+    fixed nodes is kept, and a bijection keeping every bond maps the bonds
+    onto the bonds, so it keeps every non-bond."""
     a, nbrs = rs.cartan, rs._nbrs
     return all(a[p][perm[j]] == a[i][j] and a[perm[j]][p] == a[j][i]
                for i, p in enumerate(perm) if p != i for j in nbrs[i])

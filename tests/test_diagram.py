@@ -14,6 +14,7 @@ from satake import diagram, involution
 from satake.realforms import catalog
 from satake.diagram import (
     SatakeDiagram,
+    ValidationReport,
     format_diagram,
     parse_diagram,
     render_diagram,
@@ -369,8 +370,25 @@ class TestValidate:
             # the parsed diagram's one report, not a new one per call
             assert report.ok and validate(parse_diagram(text)) is report, text
 
+    def test_accepted_diagrams_share_one_report(self):
+        texts = ("A2 black= arrows=", "E8 black=2,3,4,5 arrows=", "A3xA3 black= arrows=1:4,2:5,3:6")
+        reports = {id(validate(_fresh(text))) for text in texts}
+        assert reports == {id(involution._OK)} and involution._OK == ValidationReport(True, ())
+
+    def test_each_rejected_diagram_keeps_its_own_report(self):
+        for text in ("A4 black=1,2 arrows=", "A2 black=1 arrows=", "A3 black= arrows=1:2"):
+            d, twin = (_fresh(text) for _ in range(2))
+            assert not validate(d).ok and validate(d) is validate(d), text
+            assert validate(twin) == validate(d) and validate(twin) is not validate(d), text
+
     def test_report_str(self):
         assert str(validate(parse_diagram("A2 black= arrows="))) == "ok"
+
+
+def _fresh(text: str) -> SatakeDiagram:
+    """The diagram of ``text`` built afresh, outside the parse memo."""
+    d = parse_diagram(text)
+    return SatakeDiagram(d.types, d.black, d.arrows)
 
 
 def _census(types) -> list[SatakeDiagram]:

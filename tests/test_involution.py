@@ -9,6 +9,7 @@ import itertools
 import json
 import operator
 import os
+import random
 import re
 import subprocess
 import sys
@@ -17,7 +18,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from conftest import components_by_matrix_scan, node_map_report
+from conftest import components_by_matrix_scan, diagram_automorphisms, node_map_report
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -972,6 +973,75 @@ def helgason_mismatches(bound: int) -> tuple[int, list[str]]:
 def test_restricted_roots_equal_helgasons_closed_forms():
     compared, bad = helgason_mismatches(16)
     assert compared == 597 and not bad, bad
+
+
+def _cartan_by_bilinear(rs, base) -> tuple | None:
+    """``2 B(b_k, b_l) / B(b_k, b_k)`` through the public ``bilinear``, or
+    None unless every diagonal form is positive, every entry integral and
+    every off-diagonal one at most 0."""
+    rows = []
+    for k, b in enumerate(base):
+        norm = rs.bilinear(b, b)
+        if norm <= 0:
+            return None
+        row = [Fraction(2 * rs.bilinear(b, c), norm) for c in base]
+        if any(x.denominator != 1 or (k != m and x > 0) for m, x in enumerate(row)):
+            return None
+        rows.append(tuple(map(int, row)))
+    return tuple(rows)
+
+
+def restricted_cartan_mismatches(diagrams) -> list[str]:
+    """The restricted Cartan matrix that each diagram's restricted stage,
+    run afresh, hands the label memo, or None when it hands none, against
+    ``_cartan_by_bilinear`` of its base; the mismatched diagrams' texts."""
+    label, seen, bad = involution._label, [], []
+    involution._label = lambda cartan, non_reduced: seen.append(cartan) or label(cartan, non_reduced)
+    try:
+        for d in diagrams:
+            seen.clear()
+            rr = restricted_roots(SatakeDiagram(d.types, d.black, d.arrows))
+            if (seen[0] if seen else None) != _cartan_by_bilinear(d.rs, rr.base):
+                bad.append(format_diagram(d))
+    finally:
+        involution._label = label
+    return bad
+
+
+def accepted_census_sample(count: int, seed: int) -> list[SatakeDiagram]:
+    """Seeded census candidates that ``validate`` accepts: a simple or doubled
+    type of rank at most 8 per component, a random black set and a random
+    involutive diagram automorphism, arrowed on its 2-cycles of whites."""
+    rng = random.Random(seed)
+    names = [f"{f}{n}" for f in _FAMILIES for n in range(1, 9) if _rank_ok(f, n)]
+    involutions, out = {}, []
+    while len(out) < count:
+        types = (rng.choice(names),) * rng.choice((1, 2))
+        rs = build_root_system(types)
+        n = rs.n
+        if types not in involutions:
+            autos = diagram_automorphisms(rs.cartan)
+            involutions[types] = [g for g in autos if all(g[g[i]] == i for i in range(n))]
+        g = rng.choice(involutions[types])
+        black = {i for i in range(n) if rng.random() < 0.5}
+        arrows = [(i, g[i]) for i in range(n) if i < g[i] and not {i, g[i]} & black]
+        d = SatakeDiagram(types, black, arrows)
+        if validate(d).ok:
+            out.append(d)
+    return out
+
+
+class TestRestrictedCartan:
+    """The type label's Cartan matrix, read off coroot pairings at each base
+    vector's first white node, against the invariant form."""
+
+    def test_every_catalog_form(self):
+        forms = catalog(16)
+        assert len(forms) == 597 and not restricted_cartan_mismatches(rec.diagram for rec in forms)
+
+    def test_accepted_census_candidates(self):
+        sample = accepted_census_sample(300, seed=5)
+        assert not restricted_cartan_mismatches(sample)
 
 
 def _read_out_digest(texts, coordinates) -> str:

@@ -20,6 +20,8 @@ from conftest import (
     reflect_simple,
 )
 from satake import rootsys
+from satake.diagram import SatakeDiagram
+from satake.errors import DiagramDataError
 from satake.rootsys import (
     SimpleType,
     _positive_roots_from_cartan,
@@ -128,6 +130,34 @@ class TestConstruction:
 
     def test_build_accepts_simpletype_values(self):
         assert build_root_system([SimpleType("A", 2)]) is build_root_system(["A2"])
+
+    def test_one_system_by_names_list_or_types(self):
+        # a tuple of names is looked up as it stands; "A03" spells A3 too
+        rs = build_root_system(("A3",))
+        for types in (["A3"], (SimpleType("A", 3),), ("A03",), [SimpleType("A", 3)]):
+            assert build_root_system(types) is rs, types
+        assert build_root_system(("A3", "A3")) is build_root_system([SimpleType("A", 3)] * 2)
+
+    @pytest.mark.parametrize(
+        "bad,text",
+        [
+            (("Q3",), "not a simple type: 'Q3'"),
+            (("A0",), "invalid simple type A0"),
+            (("D2",), "invalid simple type D2 (use a doubled A1)"),
+            (("A3", "B3"), "a doubled system needs two equal types, got A3 and B3"),
+            (("A2", "A2", "A2"), "at most two components are supported"),
+            ((), "at least one simple type is required"),
+        ],
+    )
+    def test_bad_names_raise_on_every_call(self, bad, text):
+        # failures are not kept, so each call raises with the same text
+        for _ in range(3):
+            with pytest.raises(ValueError) as exc:
+                build_root_system(bad)
+            assert str(exc.value) == text
+            with pytest.raises(DiagramDataError) as exc:
+                SatakeDiagram(bad, (), ())
+            assert exc.value.failures == (("component types", text),)
 
     @pytest.mark.parametrize("family", ["AB", "DE", "", "H"])
     def test_family_is_one_of_seven_letters(self, family):
@@ -324,6 +354,12 @@ class TestDiagramAutomorphism:
     def test_not_a_permutation(self):
         with pytest.raises(ValueError):
             is_diagram_automorphism(_sys("A2"), [0, 0])
+
+    def test_not_a_permutation_though_every_bond_is_kept(self):
+        # [0, 0] moves node 2 only, which has no bond in A1xA1, so the
+        # bond check alone would pass it; the public check still raises
+        with pytest.raises(ValueError, match="not a permutation of the node indices"):
+            is_diagram_automorphism(_sys(["A1", "A1"]), [0, 0])
 
     @pytest.mark.parametrize(
         "types,perm",
