@@ -14,11 +14,14 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
 from functools import lru_cache
+from itertools import chain
 
 from ._record import Record, stage
 from .errors import DiagramDataError, DiagramParseError
 from .involution import ValidationReport, _Derivation
 from .rootsys import RootSystem, SimpleType, _components, _layout, build_root_system
+
+__all__ = ("SatakeDiagram", "format_diagram", "parse_diagram", "render_diagram", "validate")
 
 
 class SatakeDiagram(_Derivation, Record):
@@ -54,13 +57,9 @@ class SatakeDiagram(_Derivation, Record):
         for pair in arrows:
             if not isinstance(pair, (tuple, list)) or len(pair) != 2:
                 raise DiagramDataError([("arrow is not a pair of nodes", repr(pair))])
-        for i in black:
+        for i in chain(black, *arrows):
             if type(i) is not int:
                 raise DiagramDataError([("node index is not an integer", repr(i))])
-        for i, j in arrows:
-            if type(i) is not int or type(j) is not int:
-                bad = j if type(i) is int else i
-                raise DiagramDataError([("node index is not an integer", repr(bad))])
         black, n = frozenset(black), rs.n
         if black and not (0 <= min(black) and max(black) < n):
             i = next(i for i in sorted(black) if not 0 <= i < n)
@@ -175,12 +174,15 @@ def parse_diagram(text: str) -> SatakeDiagram:
     Memoised on the text, LRU beyond 256 (the default catalog has 205
     texts): one shared, immutable diagram and derivation per text, and
     the one cache of a catalog record's diagram.
-    Failures are not kept; ``create`` and construction bypass the memo.
+    Failures, a non-str's ``TypeError`` among them, are not kept; ``create``
+    and construction bypass the memo.
     """
     return _parse_memo(text)
 
 
 def _parse(text: str) -> SatakeDiagram:
+    if not isinstance(text, str):
+        raise TypeError(f"a diagram text is a str, got {text!r}")
     parts = text.split(" ")
     if len(parts) != 3 or not all(parts):
         raise DiagramParseError(

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+__all__ = ("DiagramDataError", "DiagramParseError", "SatakeError", "UnknownRealFormError")
+
 
 class SatakeError(Exception):
     """Base class for errors raised by this package."""

@@ -57,6 +57,7 @@ from .rootsys import (
     RootSystem,
     SimpleType,
     _arms,
+    _check_permutation,
     _connected_sets,
     _keeps_bonds,
     _positive_roots_from_cartan,
@@ -66,6 +67,10 @@ from .rootsys import (
     longest_element,
     mat_mul,
 )
+
+__all__ = ("RestrictedRoots", "ValidationReport", "act_on_weight", "base_coordinates",
+           "black_corrections", "dual_cartan_involution", "permutation_cycles", "restricted_roots",
+           "restricted_to_json", "satake_automorphism")
 
 Failures = tuple[tuple[str, str], ...]
 
@@ -270,7 +275,9 @@ def _perm_text(perm: Sequence[int]) -> str:
 
 
 def permutation_cycles(perm: Sequence[int]) -> str:
-    """1-based cycle notation of the moved points, or ``"identity"``."""
+    """1-based cycle notation of the moved points, or ``"identity"``; ValueError
+    unless ``perm`` is a permutation of its indices."""
+    _check_permutation(perm, len(perm))
     seen: set[int] = set()
     parts: list[str] = []
     for i in range(len(perm)):
@@ -508,11 +515,13 @@ def _fraction(num: int, den: int):
 
 
 def act_on_weight(perm: Sequence[int], weight: Sequence[int]) -> Coords:
-    """Permute fundamental-weight coordinates by a node involution."""
+    """Permute fundamental-weight coordinates by a node involution; ValueError
+    on a length mismatch, then unless ``perm`` is a permutation of its indices."""
     if len(weight) != len(perm):
         raise ValueError(
             f"weight of length {len(weight)} does not match a rank-{len(perm)} diagram"
         )
+    _check_permutation(perm, len(perm))
     return tuple(weight[perm[i]] for i in range(len(perm)))
 
 

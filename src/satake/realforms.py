@@ -23,6 +23,9 @@ from .errors import UnknownRealFormError
 from .involution import permutation_cycles, satake_automorphism
 from .rootsys import _FAMILIES, MAX_RANK, _rank_ok
 
+__all__ = ("ClassificationRow", "ClassificationTable", "RealFormRecord", "catalog",
+           "classification_to_json", "classify", "lookup", "normalize_name")
+
 Entry = tuple[tuple[str, ...], str]
 
 

@@ -30,6 +30,9 @@ from operator import add, mul
 
 from ._record import Record, stage
 
+__all__ = ("RootSystem", "SimpleType", "apply_word", "build_root_system", "identify_cartan",
+           "induced_node_permutation", "longest_element", "word_matrix")
+
 Coords = tuple[int, ...]
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -326,6 +329,11 @@ def _check_vector(rs: RootSystem, v: Sequence[int]) -> None:
         raise ValueError(f"vector of length {len(v)} does not fit a rank-{rs.n} system")
 
 
+def _check_permutation(perm: Sequence[int], n: int) -> None:
+    if sorted(perm) != list(range(n)):
+        raise ValueError("not a permutation of the node indices")
+
+
 def apply_word(rs: RootSystem, word: Sequence[int], v: Sequence[int]) -> Coords:
     """Apply a word of simple reflections, leftmost letter last."""
     _check_vector(rs, v)
@@ -417,8 +425,7 @@ def induced_node_permutation(rs: RootSystem, nodes: Iterable[int]) -> dict[int, 
 
 def is_diagram_automorphism(rs: RootSystem, perm: Sequence[int]) -> bool:
     """True when the node permutation preserves every Cartan entry."""
-    if sorted(perm) != list(range(rs.n)):
-        raise ValueError("not a permutation of the node indices")
+    _check_permutation(perm, rs.n)
     return _keeps_bonds(rs, perm)
 
 

@@ -27,6 +27,8 @@ from ._record import Record, _json_object
 from .errors import DiagramDataError
 from .involution import satake_automorphism
 
+__all__ = ("StructureVerdict", "SubgroupHypotheses", "real_structure_verdict", "verdict_to_json")
+
 CONJUGACY_ORDER = ("unknown", "hypothesis-required", "guaranteed")
 HOMOGENEOUS_ORDER = ("unknown", "not-guaranteed", "exists-unique")
 COMPLETION_ORDER = ("unknown", "not-applicable", "exists-unique-structure")

@@ -268,6 +268,14 @@ class TestParseMemo:
             parse_diagram(text)
         assert diagram._parse_memo.cache_info().currsize == 0
 
+    @pytest.mark.parametrize("text", [5, b"A1 black= arrows=", None])
+    def test_a_text_that_is_no_str_is_a_type_error(self, text):
+        # refused as ``lookup`` refuses a name, before the parser reads it
+        with pytest.raises(TypeError) as exc:
+            parse_diagram(text)
+        assert str(exc.value) == f"a diagram text is a str, got {text!r}"
+        assert diagram._parse_memo.cache_info().currsize == 0
+
     def test_create_bypasses_the_memo(self):
         parse_diagram("A3 black=2 arrows=1:3")
         for k in range(1000):

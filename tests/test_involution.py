@@ -804,6 +804,37 @@ class TestWeights:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             act_on_weight((1, 0), (1, 0, 0))
+        # the length is checked before the permutation
+        with pytest.raises(ValueError, match="weight of length 1 does not match a rank-2 diagram"):
+            act_on_weight((1, 1), (3,))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        # a cycle walk that waits to come back to its start never returns on these
+        "permutation_cycles((1, 1))",
+        "permutation_cycles((0, 0))",
+        "permutation_cycles((-1, 0))",
+        "permutation_cycles((5,))",
+        "act_on_weight((1, 1), (3, 4))",
+        "act_on_weight((5, 0), (3, 4))",
+    ],
+)
+def test_non_permutation_is_refused(call):
+    # in a child under an address-space cap and a time limit, so a walk that
+    # never ends fails this test in seconds instead of filling the host's memory
+    code = (
+        "import resource\n"
+        "from satake import act_on_weight, permutation_cycles\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))\n"
+        f"try:\n    print({call})\nexcept ValueError as e:\n    print('ValueError:', e)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(satake.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=30
+    )
+    assert proc.stdout == "ValueError: not a permutation of the node indices\n", proc.stderr[-300:]
 
 
 def test_base_coordinates_against_read_offs(full_catalog, random_diagrams_500):
