@@ -34,11 +34,12 @@ real form's diagram: each white node j the node map fixes needs
 <alpha_j, rho_X^vee> integral, X the black set, else "not admissible".
 
 The read-out of restricted roots keeps each answer by the identity of
-the objects it came from: a (base, vector) pair's coordinates in
-``base_coordinates`` and a record's whole text in ``restricted_to_json``,
-so a repeated read-out of the tuples ``restricted_roots`` hands out costs
-one lookup.  A miss reads every entry through ``operator.index`` and
-computes its answer whole, so an equal float never shares an int's.
+the objects it came from, hashing no vector: a vector's coordinates in
+``base_coordinates``, with its base, which is read once into a plan, and
+a record's whole text in ``restricted_to_json``, with the multiplicity
+keys and values it read, so a repeated read-out of what ``restricted_roots``
+hands out costs one lookup.  Every entry is read through ``operator.index``,
+so an equal float never shares an int's answer.
 """
 
 from __future__ import annotations
@@ -430,11 +431,11 @@ def _label(cartan: Matrix, non_reduced: bool) -> str | None:
 
 
 class _Memo(dict):
-    """Answers keyed on the ids of the objects they came from, which each
+    """Answers keyed on the id of an object they came from, which each
     entry holds, so no id is reused while it stays and a key found means
-    the very same objects.  ``keep`` stores an entry only when each of its
+    the very same object.  ``keep`` stores an entry only when each of its
     vector tuples is a tuple of tuples of ints, which no caller can
-    change; a full memo first drops its oldest entry."""
+    change; a full memo drops its oldest entry for a new key only."""
 
     def __init__(self, bound: int):
         self.bound = bound
@@ -442,14 +443,14 @@ class _Memo(dict):
     def keep(self, key, entry: tuple, *vector_tuples) -> None:
         if all(type(vs) is tuple and all(type(v) is tuple for v in vs)
                and {int, bool}.issuperset(map(type, chain(*vs))) for vs in vector_tuples):
-            if len(self) >= self.bound:
-                self.pop(next(iter(self)), None)
+            if key not in self and len(self) >= self.bound:
+                self.pop(next(iter(self)))
             self[key] = entry
 
 
-# Bounded: the default catalog's read-out is 205 records and 2,923 (base,
-# vector) pairs, which ``catalog-derive`` reads pass after pass.
-_coordinates_memo, _json_memo = _Memo(4096), _Memo(256)
+# Bounded: the default catalog's read-out is 205 records, as many bases, and
+# 2,923 (base, vector) pairs, which ``catalog-derive`` reads pass after pass.
+_coordinates_memo, _plan_memo, _json_memo = _Memo(4096), _Memo(256), _Memo(256)
 
 
 def base_coordinates(base: Sequence[Coords], vec: Coords) -> tuple:
@@ -457,52 +458,62 @@ def base_coordinates(base: Sequence[Coords], vec: Coords) -> tuple:
 
     Every entry of ``base`` and ``vec`` is an int: each is read through
     ``operator.index``, so a bool counts as an int and a float raises
-    TypeError on every call.  The answer is kept by the identity of a
-    tuple ``base`` of tuples and a tuple ``vec``, of ints: the very same
-    objects cost one lookup, and any others, lists included, are read.
+    TypeError on every call, the base's first.  A tuple ``base`` of tuples
+    of ints is read once, into a plan kept by its id, and the answer for a
+    tuple ``vec`` of ints by the id of ``vec``, with its base: the very
+    same objects cost one lookup, and any others, lists included, are read.
     Precondition: every base vector has a private coordinate, one where
     it alone of the base is nonzero.  Every restricted base has one: the
     image of a white node is its only base vector with that node in its
     support.  Each coefficient is read off there as the integer ``den``
     times it, so at each read-off coordinate the combination is ``den *
     vec`` by construction, and the span check compares the others only.
-    Raises ValueError when a base vector has no private coordinate,
-    ``vec`` is not in the span, or the lengths differ.
+    Raises ValueError when the lengths differ, a base vector has no
+    private coordinate, or ``vec`` is not in the span, in that order.
     """
-    key = (id(base), id(vec))
-    hit = _coordinates_memo.get(key)
-    if hit is not None:
+    hit = _coordinates_memo.get(id(vec))
+    if hit is not None and hit[0] is base:
         return hit[2]
-    answer = _coordinates(base, vec)
-    _coordinates_memo.keep(key, (base, vec, answer), base, (vec,))
+    plan = _plan_memo.get(id(base))
+    if plan is None:
+        plan = (base, *_plan(base))
+        _plan_memo.keep(id(base), plan, base)
+    answer = _coordinates(plan, vec)
+    if id(base) in _plan_memo:  # a tuple of tuples of ints, scanned once for its plan
+        _coordinates_memo.keep(id(vec), (base, vec, answer), (vec,))
     return answer
 
 
-def _coordinates(base: Sequence[Coords], vec: Coords) -> tuple:
-    """Each base vector's coefficient, read off at its private coordinate
-    k (the first where it alone of the base is nonzero) as ``den // entry
-    * vec[k]``, ``den`` the lcm of those entries; then every other column
-    checked.  At a read-off column only its vector is nonzero, so the
-    combination there is ``den * vec[k]`` for any vec.  The entries are
-    read through ``operator.index``, into lists, not tuples, which
-    CPython's free lists would keep."""
-    base = [list(map(index, b)) for b in base]
-    vec = list(map(index, vec))
-    if any(len(b) != len(vec) for b in base):
-        raise ValueError("base vectors and the vector differ in length")
-    columns = list(zip(*base)) if base else [()] * len(vec)
+def _plan(base: Sequence[Coords]) -> tuple:
+    """The row lengths; each base vector's private coordinate k (the first
+    where it alone of the base is nonzero) with ``den // entry``, or the
+    error text of a vector that has none; ``den``, the lcm of those
+    entries; and every other column, with its index.  The rows are read
+    through ``operator.index`` into lists, which are freed."""
+    rows = [list(map(index, b)) for b in base]
+    lengths, columns = set(map(len, rows)), list(zip(*rows))
     solo = [k for k, col in enumerate(columns) if len(col) - col.count(0) == 1]
-    private: list[int] = []
-    for b in base:
-        k = next((k for k in solo if b[k]), None)
-        if k is None:
-            raise ValueError(f"base vector {tuple(b)} has no private coordinate")
-        private.append(k)
-    den = lcm(*(b[k] for k, b in zip(private, base)))
-    xs = [den // b[k] * vec[k] for k, b in zip(private, base)]
-    for k, col in enumerate(columns):
-        if k not in private and sum(map(mul, xs, col)) != den * vec[k]:
-            raise ValueError("vector is not in the span of the base")
+    private = [next((k for k in solo if b[k]), None) for b in rows]
+    if None in private:
+        return lengths, f"base vector {tuple(rows[private.index(None)])} has no private coordinate", 0, ()
+    den = lcm(*(b[k] for k, b in zip(private, rows)))
+    return (lengths, [(k, den // b[k]) for k, b in zip(private, rows)], den,
+            [(k, col) for k, col in enumerate(columns) if k not in private])
+
+
+def _coordinates(plan: tuple, vec: Coords) -> tuple:
+    """Each coefficient read off as ``den // entry * vec[k]``, which makes the
+    combination ``den * vec[k]`` at each read-off column; the others are checked."""
+    _, lengths, reads, den, checks = plan
+    vec = list(map(index, vec))
+    if lengths - {len(vec)}:
+        raise ValueError("base vectors and the vector differ in length")
+    if type(reads) is str:
+        raise ValueError(reads)
+    xs = [scale * vec[k] for k, scale in reads]
+    # an empty base has no columns, and only zero is in its span
+    if any(sum(map(mul, xs, col)) != den * vec[k] for k, col in checks) or not xs and any(vec):
+        raise ValueError("vector is not in the span of the base")
     return tuple(map(_fraction, xs, repeat(den)))
 
 
@@ -547,13 +558,15 @@ def restricted_to_json(rr: RestrictedRoots) -> str:
     Coordinates and multiplicities are read through ``operator.index``,
     so a bool is written 0 or 1 and a float raises TypeError.  The text is
     kept by the identity of the record's base, positive vectors and label
-    and of each multiplicity value, as ``restricted_roots`` hands them
-    out; an edited multiplicity copy or another label is written afresh.
+    and of each multiplicity key and value, in order, which a ``dict`` copy
+    keeps, so no vector is hashed; an edited, reordered or extended copy
+    of the multiplicities, or another label, is written afresh.
     """
     base, positive, label, mult = rr.base, rr.positive, rr.label, rr.multiplicity
     hit = _json_memo.get(id(positive))
-    if hit and hit[0] is base and hit[2] is label and all(map(is_, map(mult.__getitem__, positive), hit[3])):
-        return hit[4]
+    if (hit and hit[0] is base and hit[2] is label and type(mult) is dict and len(mult) == len(hit[3])
+            and all(map(is_, mult, hit[3])) and all(map(is_, mult.values(), hit[4]))):
+        return hit[5]
     import json
 
     counts = tuple(map(mult.__getitem__, positive))
@@ -564,6 +577,8 @@ def restricted_to_json(rr: RestrictedRoots) -> str:
         + ',\n  "base": ' + _json_list(["    " + _coords_json(v, 2) for v in base], 1)
         + ',\n  "positive": ' + _json_list(items, 1) + "\n}"
     )
-    if label is None or type(label) is str:
-        _json_memo.keep(id(positive), (base, positive, label, counts, text), base, positive, (counts,))
+    if type(mult) is dict and (label is None or type(label) is str):
+        # a key's hash and equality may not change while it is a dict's, so its identity suffices
+        keys, values = tuple(mult), tuple(mult.values())
+        _json_memo.keep(id(positive), (base, positive, label, keys, values, text), base, positive, (values,))
     return text

@@ -777,6 +777,59 @@ class TestReadOutByIdentity:
             assert restricted_to_json(relabelled) == _stdlib_json(relabelled)
         assert restricted_to_json(restricted_roots(d)) == first
 
+    def test_multiplicity_copies_are_read_by_their_objects(self):
+        # a hit compares the copy's keys and values with the kept ones by
+        # identity, in order; any other copy is written afresh
+        rr = restricted_roots(parse_diagram("E6 black=3,4,5 arrows=1:6"))
+        text = restricted_to_json(rr)
+        assert restricted_to_json(restricted_roots(parse_diagram("E6 black=3,4,5 arrows=1:6"))) is text
+        first = rr.positive[0]
+
+        def written(mult):
+            return restricted_to_json(involution.RestrictedRoots(rr.base, rr.positive, mult, rr.label))
+
+        floats = dict(rr.multiplicity)
+        floats[first] = float(floats[first])
+        with pytest.raises(TypeError):
+            written(floats)
+        assert written(dict(reversed(rr.multiplicity.items()))) == text
+        assert written({**rr.multiplicity, (9,) * len(first): 1}) == text
+        lacking = dict(rr.multiplicity)
+        del lacking[first]
+        with pytest.raises(KeyError):
+            written(lacking)
+
+    def test_one_vector_against_two_bases(self):
+        # the coordinates memo is keyed on the vector; its entry holds the base
+        vec, bases = (2, 6), (((2, 0), (0, 3)), ((1, 0), (0, 2)))
+        for _ in range(3):
+            assert [base_coordinates(base, vec) for base in bases] == [(1, 2), (2, 3)]
+        for base in bases:
+            assert base_coordinates(base, vec) is base_coordinates(base, vec)
+
+    def test_a_kept_plan_keeps_the_error_order(self):
+        # the base's missing private coordinate is kept in its plan, and
+        # still raised after the vector's length and type checks
+        base = ((1, 0), (1, 1))
+        for _ in range(2):
+            with pytest.raises(ValueError, match="differ in length"):
+                base_coordinates(base, (1,))
+            with pytest.raises(TypeError):
+                base_coordinates(base, (1.0, 1))
+            with pytest.raises(ValueError, match="no private coordinate"):
+                base_coordinates(base, (1, 1))
+
+
+def test_memo_replaces_a_held_key_in_place():
+    # a full memo evicts for a new key only
+    memo = involution._Memo(2)
+    memo.keep("a", (1,))
+    memo.keep("b", (2,))
+    memo.keep("b", (3,))
+    assert memo == {"a": (1,), "b": (3,)}
+    memo.keep("c", (4,))
+    assert memo == {"b": (3,), "c": (4,)}
+
 
 def test_root_images_equal_dense_product(full_catalog):
     # the per-root vectors r - theta(r) of the predecessor recursion
@@ -914,6 +967,35 @@ def read_out_mismatches(bound: int) -> tuple[int, list[str]]:
 
 def test_read_out_against_references_twice():
     compared, bad = read_out_mismatches(4)
+    assert compared > 0 and not bad, bad
+
+
+def orbit_sum_mismatches(bound: int) -> tuple[int, list[str]]:
+    """The forms of ``catalog(bound)`` where the coordinates of some r -
+    theta(r) in the restricted base are not r's white coefficients summed
+    over each arrow orbit, with how many roots were compared.  By
+    linearity r - theta(r) is the sum over white j of r_j (alpha_j -
+    theta(alpha_j)), whose vectors are equal on an orbit, and the base
+    lists each orbit's vector at its first node; so the reference costs
+    O(n) per root.  Tier-1 runs bound 16; CI runs the rank cap."""
+    compared, bad = 0, []
+    for rec in catalog(bound):
+        d = rec.diagram
+        rr, perm = restricted_roots(d), satake_automorphism(d)
+        firsts = [j for j in d.whites if perm[j] >= j]
+        _, vectors = involution._root_vectors(d)
+        for r, v in zip(d.rs.positive_roots, vectors):
+            if any(r[j] for j in d.whites):
+                compared += 1
+                want = tuple(r[j] + r[perm[j]] if perm[j] != j else r[j] for j in firsts)
+                if base_coordinates(rr.base, v) != want:
+                    bad.append(rec.name)
+                    break
+    return compared, bad
+
+
+def test_coordinates_are_orbit_sums():
+    compared, bad = orbit_sum_mismatches(16)
     assert compared > 0 and not bad, bad
 
 
