@@ -221,7 +221,7 @@ def _selftest_checks(d: SatakeDiagram, failures: list[str], tag: str) -> None:
     perm = satake_automorphism(d)
     # the node map reads the black flip off each component's shape; the
     # word for the component's longest element is the independent side
-    for comp, _, _ in d._black_components:
+    for comp, *_ in d._black_components:
         if {i: perm[i] for i in comp} != induced_node_permutation(rs, comp):
             failures.append(f"{tag}: black component {comp} flips unlike -w0")
     if d.is_doubled:

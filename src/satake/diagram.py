@@ -46,13 +46,16 @@ class SatakeDiagram(_Derivation, Record):
         black: Iterable[int],
         arrows: Iterable[tuple[int, int]],
     ):
-        types = _items(types, "component types are not a sequence")
+        if type(types) is not tuple:
+            types = _items(types, "component types are not a sequence")
         try:
             rs = build_root_system(types)
         except ValueError as e:
             raise DiagramDataError([("component types", str(e))]) from e
-        black = _items(black, "black nodes are not a collection")
-        arrows = _items(arrows, "arrows are not a collection")
+        if type(black) is not tuple:
+            black = _items(black, "black nodes are not a collection")
+        if type(arrows) is not tuple:
+            arrows = _items(arrows, "arrows are not a collection")
         # each check builds its text only when it fails
         for pair in arrows:
             if not isinstance(pair, (tuple, list)) or len(pair) != 2:
@@ -61,7 +64,7 @@ class SatakeDiagram(_Derivation, Record):
             if type(i) is not int:
                 raise DiagramDataError([("node index is not an integer", repr(i))])
         black, n = frozenset(black), rs.n
-        if black and not (0 <= min(black) and max(black) < n):
+        if not black <= rs._nodes:
             i = next(i for i in sorted(black) if not 0 <= i < n)
             raise DiagramDataError([("black node out of range", f"node {i + 1}")])
         for i, j in arrows:
@@ -69,7 +72,7 @@ class SatakeDiagram(_Derivation, Record):
             if not inside or i == j:
                 check = "arrow connects a node to itself" if inside else "arrow endpoint out of range"
                 raise DiagramDataError([(check, f"{i + 1}<->{j + 1}")])
-        arrows = tuple(sorted({(i, j) if i < j else (j, i) for i, j in arrows}))
+        arrows = tuple(sorted({(i, j) if i < j else (j, i) for i, j in arrows})) if arrows else ()
         types = rs.components
         self.__dict__.update(
             types=types, black=black, arrows=arrows, rs=rs, _key=(types, black, arrows)

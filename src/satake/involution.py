@@ -61,7 +61,7 @@ from .rootsys import (
     _check_permutation,
     _connected_sets,
     _keeps_bonds,
-    _positive_roots_from_cartan,
+    _root_closure,
     apply_word,
     identify_cartan,
     identity_matrix,
@@ -101,9 +101,10 @@ def structural_failures(d) -> Failures:
         for i, j in d.arrows
         if i in d.black or j in d.black
     ]
-    ends = sorted(k for pair in d.arrows for k in pair)
-    repeated = sorted({k for k, nxt in zip(ends, ends[1:]) if k == nxt})
-    fails += [("node in more than one arrow", f"node {k + 1}") for k in repeated]
+    ends = [k for pair in d.arrows for k in pair]
+    if len(set(ends)) < len(ends):
+        repeated = sorted({k for k in ends if ends.count(k) > 1})
+        fails += [("node in more than one arrow", f"node {k + 1}") for k in repeated]
     if fails:
         return tuple(fails)
     # a pair of whites breaks the pattern only if it or its image under omega
@@ -135,14 +136,11 @@ class _Derivation:
     """
 
     @stage
-    def _black_components(self) -> tuple[tuple[tuple[int, ...], tuple, Coords], ...]:
-        """Each black component, with its flip and 2 rho^vee, from the root system's table."""
-        table, a = self.rs._black_table, self.rs.cartan
-        return tuple([
-            table.get(comp) or table.setdefault(
-                comp, (comp, *_black_shape(tuple([tuple([a[i][j] for j in comp]) for i in comp]))))
-            for comp in _connected_sets(self.rs._nbrs, self.black)
-        ])
+    def _black_components(self) -> tuple[tuple[tuple[int, ...], tuple, Coords, tuple[int, ...]], ...]:
+        """Each black component's entry of the root system's table."""
+        table = self.rs._black_table
+        return tuple([table.get(comp) or table.setdefault(comp, _black_entry(self.rs, comp))
+                      for comp in _connected_sets(self.rs._nbrs, self.black)])
 
     @stage
     def _node_map(self) -> tuple[tuple[int, ...], Failures]:
@@ -152,7 +150,7 @@ class _Derivation:
         perm = list(self.rs._identity)
         for i, j in self.arrows:
             perm[i], perm[j] = j, i
-        for comp, flip, _ in self._black_components:
+        for comp, flip, *_ in self._black_components:
             for x, y in flip:
                 perm[comp[x]] = comp[y]
         # an involution: the arrows pair white nodes, -w0 flips black ones
@@ -162,16 +160,21 @@ class _Derivation:
 
     @stage
     def _admissibility(self) -> ValidationReport:
-        """Araki's rule: ``<alpha_j, 2 rho_X^vee>`` even at each white j the node map fixes."""
+        """Araki's rule: ``<alpha_j, 2 rho_X^vee>`` even at each white j the node
+        map fixes.  It is the sum over the black components, so a node fails
+        when an odd number of their table entries list it; only a failing
+        node's pairing is summed, for its message."""
         perm, fails = self._node_map
         if not fails:
-            a, nbrs = self.rs.cartan, self.rs._nbrs
-            k = {b: x for comp, _, coeffs in self._black_components for b, x in zip(comp, coeffs)}
-            fails = tuple(
-                ("not admissible", f"white node {j + 1}: <alpha_{j + 1}, rho_X^vee> = {v}/2")
-                for j in self.whites
-                if perm[j] == j and (v := sum([k[b] * a[b][j] for b in nbrs[j] if b in k])) % 2
-            )
+            odd = [j for entry in self._black_components for j in entry[3] if perm[j] == j]
+            if odd:
+                a = self.rs.cartan
+                k = {b: x for comp, _, coeffs, _ in self._black_components for b, x in zip(comp, coeffs)}
+                fails = tuple(
+                    ("not admissible", f"white node {j + 1}: <alpha_{j + 1}, rho_X^vee> = "
+                     f"{sum([k[b] * a[b][j] for b in self.rs._nbrs[j] if b in k])}/2")
+                    for j in sorted({j for j in odd if odd.count(j) % 2})
+                )
         return ValidationReport(False, fails) if fails else _OK
 
     @stage
@@ -229,6 +232,18 @@ def _root_vectors(d) -> tuple[list[Coords], list[Coords]]:
     return seeds, vectors
 
 
+def _black_entry(rs: RootSystem, comp: tuple[int, ...]) -> tuple:
+    """A connected black set's entry of the root system's table: the nodes,
+    the flip and 2 rho^vee of its shape, and the white nodes j bonded to it
+    where ``<alpha_j, 2 rho^vee>`` is odd.  A Dynkin diagram is a forest, so
+    such a j is bonded to one node b of the set, and the pairing is
+    ``k_b a_bj``, odd when both factors are."""
+    a, nbrs = rs.cartan, rs._nbrs
+    flip, coeffs = _black_shape(tuple([tuple([a[i][j] for j in comp]) for i in comp]))
+    return comp, flip, coeffs, tuple(
+        [j for b, x in zip(comp, coeffs) if x % 2 for j in nbrs[b] if a[b][j] % 2 and j not in comp])
+
+
 # Bounded: the connected black sets of the types up to rank 8 have 41 Cartan blocks.
 @lru_cache(maxsize=128)
 def _black_shape(block: Matrix) -> tuple[tuple[tuple[int, int], ...], Coords]:
@@ -241,7 +256,7 @@ def _black_shape(block: Matrix) -> tuple[tuple[tuple[int, int], ...], Coords]:
     transposed block, summed.
     """
     k = len(block)
-    coeffs = tuple(map(sum, zip(*_positive_roots_from_cartan(tuple(zip(*block))))))
+    coeffs = tuple(map(sum, zip(*_root_closure(tuple(zip(*block)))[0])))
     arms = _arms({x: [y for y in range(k) if y != x and block[x][y]] for x in range(k)})
     if len(arms) == 1:
         arm = arms[0]
@@ -277,7 +292,7 @@ def _perm_text(perm: Sequence[int]) -> str:
 
 def permutation_cycles(perm: Sequence[int]) -> str:
     """1-based cycle notation of the moved points, or ``"identity"``; ValueError
-    unless ``perm`` is a permutation of its indices."""
+    unless ``perm`` is a permutation of its indices, each an ``int``."""
     _check_permutation(perm, len(perm))
     seen: set[int] = set()
     parts: list[str] = []
@@ -527,7 +542,8 @@ def _fraction(num: int, den: int):
 
 def act_on_weight(perm: Sequence[int], weight: Sequence[int]) -> Coords:
     """Permute fundamental-weight coordinates by a node involution; ValueError
-    on a length mismatch, then unless ``perm`` is a permutation of its indices."""
+    on a length mismatch, then unless ``perm`` is a permutation of its indices,
+    each an ``int``."""
     if len(weight) != len(perm):
         raise ValueError(
             f"weight of length {len(weight)} does not match a rank-{len(perm)} diagram"

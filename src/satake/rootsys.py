@@ -138,8 +138,9 @@ def _cartan_block(t: SimpleType) -> list[list[int]]:
     return a
 
 
-def _positive_roots_from_cartan(cartan: Matrix) -> tuple[Coords, ...]:
-    """Generate all positive roots by closing root strings upward.
+def _root_closure(cartan: Matrix) -> tuple[tuple[Coords, ...], Coords, Coords]:
+    """Generate all positive roots by closing root strings upward, each
+    with the predecessor it was first reached from.
 
     Height by height, each root carries its down-string lengths ``p`` and
     its pairings ``c[i] = <beta, alpha_i^vee>``; the string through beta
@@ -148,24 +149,30 @@ def _positive_roots_from_cartan(cartan: Matrix) -> tuple[Coords, ...]:
     alpha_i and pairings ``c`` plus column i.  Every predecessor of a
     root lies one level below, so its ``p`` is complete before its own
     level is read.  Ordering is by height, then lexicographic, so the
-    output is deterministic.
+    output is deterministic.  Returns the roots and parallel tuples
+    ``(p, i)``: root ``k`` is ``alpha_{i[k]}`` if ``p[k]`` is -1, and
+    ``roots[p[k]] + alpha_{i[k]}`` otherwise, with ``p[k] < k``.
     """
     n = len(cartan)
     cols = tuple(zip(*cartan))
-    level = {tuple(int(j == i) for j in range(n)): ([0] * n, cols[i]) for i in range(n)}
-    ordered: list[Coords] = []
+    level = {tuple(int(j == i) for j in range(n)): ([0] * n, cols[i], -1, i) for i in range(n)}
+    ordered, preds, nodes = [], [], []
     while level:
-        ordered += sorted(level)
-        nxt: dict[Coords, tuple[list[int], Coords]] = {}
-        for beta, (p, c) in level.items():
+        nxt: dict[Coords, tuple[list[int], Coords, int, int]] = {}
+        keys = sorted(level)
+        for k, beta in enumerate(keys, len(ordered)):
+            p, c, pred, node = level[beta]
+            preds.append(pred)
+            nodes.append(node)
             for i in range(n):
                 if p[i] > c[i]:
                     up = (*beta[:i], beta[i] + 1, *beta[i + 1 :])
                     if up not in nxt:
-                        nxt[up] = ([0] * n, tuple(map(add, c, cols[i])))
+                        nxt[up] = ([0] * n, tuple(map(add, c, cols[i])), k, i)
                     nxt[up][0][i] = p[i] + 1
+        ordered += keys
         level = nxt
-    return tuple(ordered)
+    return tuple(ordered), tuple(preds), tuple(nodes)
 
 
 class RootSystem(Record):
@@ -178,17 +185,30 @@ class RootSystem(Record):
         return len(self.cartan)
 
     @stage
+    def _closure(self) -> tuple[tuple[Coords, ...], Coords, Coords]:
+        """``_root_closure`` of the Cartan matrix.  A simple system's is its
+        type's, closed once per type; a doubled system's pads that of one
+        component into place and maps its predecessors through one index
+        dict, so TxT costs one T closure."""
+        t = self.components[0]
+        roots, preds, nodes = _component_roots(t)
+        if len(self.components) == 1:
+            return roots, preds, nodes
+        # j is 1 for the first component and 0 for the second, whose roots,
+        # zeros first, sort before the first's at each height
+        pad = (0,) * t.rank
+        spots = sorted([(sum(r), j, m) for j in (0, 1) for m, r in enumerate(roots)])
+        where = {spot[1:]: g for g, spot in enumerate(spots)}
+        return (
+            tuple([roots[m] + pad if j else pad + roots[m] for _, j, m in spots]),
+            tuple([where[j, preds[m]] if preds[m] >= 0 else -1 for _, j, m in spots]),
+            tuple([nodes[m] if j else nodes[m] + t.rank for _, j, m in spots]),
+        )
+
+    @stage
     def positive_roots(self) -> tuple[Coords, ...]:
-        """Sorted by height, then lexicographically.  Each component's roots
-        are closed once per type and padded into place; that sort is the
-        closure's own order, so TxT costs one T closure."""
-        roots = [
-            (0,) * nodes[0] + r + (0,) * (self.n - 1 - nodes[-1])
-            for t, nodes in zip(self.components, self.component_nodes)
-            for r in _component_roots(t)
-        ]
-        roots.sort(key=lambda r: (sum(r), r))
-        return tuple(roots)
+        """Sorted by height, then lexicographically."""
+        return self._closure[0]
 
     @stage
     def _basis(self) -> tuple[Coords, ...]:
@@ -216,6 +236,10 @@ class RootSystem(Record):
         return tuple(range(self.n))
 
     @stage
+    def _nodes(self) -> frozenset[int]:
+        return frozenset(range(self.n))
+
+    @stage
     def _black_table(self) -> dict:
         return {}  # black components' data by node tuple, filled in ``involution``
 
@@ -225,32 +249,13 @@ class RootSystem(Record):
 
     @stage
     def _predecessors(self) -> tuple[Coords, Coords]:
-        """Parallel tuples ``(p, i)``: positive root ``k`` is ``alpha_{i[k]}``
-        if ``p[k]`` is -1, and ``positive_roots[p[k]] + alpha_{i[k]}`` otherwise.
-
-        Every positive root of height above one is a positive root plus a
-        simple root, and ``p[k] < k``, so a linear map's images of all
-        positive roots follow from its images of the simple roots in one
-        pass.  Two tuples of small ints rather than a tuple of pairs: the
-        table lives as long as the cached system, for every type in use.
-        """
-        index = {r: k for k, r in enumerate(self.positive_roots)}
-        preds: list[int] = []
-        nodes: list[int] = []
-        for r in self.positive_roots:
-            if sum(r) == 1:
-                preds.append(-1)
-                nodes.append(r.index(1))
-                continue
-            for i, x in enumerate(r):
-                p = index.get(r[:i] + (x - 1,) + r[i + 1 :]) if x else None
-                if p is not None:
-                    preds.append(p)
-                    nodes.append(i)
-                    break
-            else:
-                raise RuntimeError(f"positive root {r} has no positive predecessor")
-        return tuple(preds), tuple(nodes)
+        """``_root_closure``'s parallel tuples ``(p, i)``: every positive
+        root of height above one is a positive root plus a simple root, and
+        ``p[k] < k``, so a linear map's images of all positive roots follow
+        from its images of the simple roots in one pass.  Two tuples of
+        small ints rather than a tuple of pairs: the table lives as long as
+        the cached system, for every type in use."""
+        return self._closure[1:]
 
     @stage
     def component_nodes(self) -> tuple[tuple[int, ...], ...]:
@@ -315,8 +320,8 @@ def _build_cached(comps: tuple[SimpleType, ...]) -> RootSystem:
 
 
 @lru_cache(maxsize=None)
-def _component_roots(t: SimpleType) -> tuple[Coords, ...]:
-    return _positive_roots_from_cartan(tuple(tuple(row) for row in _cartan_block(t)))
+def _component_roots(t: SimpleType) -> tuple[tuple[Coords, ...], Coords, Coords]:
+    return _root_closure(tuple(tuple(row) for row in _cartan_block(t)))
 
 
 def _check_node(rs: RootSystem, i: int) -> None:
@@ -330,7 +335,8 @@ def _check_vector(rs: RootSystem, v: Sequence[int]) -> None:
 
 
 def _check_permutation(perm: Sequence[int], n: int) -> None:
-    if sorted(perm) != list(range(n)):
+    # an entry is an int, as a node index is, so 1.0 and True are refused
+    if any([type(i) is not int for i in perm]) or sorted(perm) != list(range(n)):
         raise ValueError("not a permutation of the node indices")
 
 

@@ -368,25 +368,41 @@ def _grown_connected_sets(cartan) -> set[tuple[int, ...]]:
     return out
 
 
+def _coroots_by_form(rs) -> list[tuple[frozenset, tuple[int, ...]]]:
+    """Per positive root r, its support and ``<alpha_j, r^vee> = 2 B(alpha_j, r)
+    / B(r, r)`` for every node j, with ``B(alpha_j, r) = d_j <r, alpha_j^vee>``."""
+    out = []
+    for r in rs.positive_roots:
+        c = [sum(map(operator.mul, row, r)) for row in rs.cartan]
+        norm = sum(map(operator.mul, r, map(operator.mul, rs.symmetrizer, c)))
+        nums = [2 * d * y for d, y in zip(rs.symmetrizer, c)]
+        assert all(x % norm == 0 for x in nums)
+        out.append((frozenset(k for k, x in enumerate(r) if x), tuple(x // norm for x in nums)))
+    return out
+
+
 def black_table_mismatches(bound: int) -> tuple[dict[str, int], list[str]]:
     """Every connected node set of every simple and doubled type of rank at
     most ``bound`` per component, painted black: the entry of the root
     system's component table against the oracles that share none of its
-    code, ``induced_node_permutation`` for the flip and the pairing
-    ``<alpha_j, 2 rho^vee> = 2`` at each of the component's simple roots;
-    then the table's size against the count of connected node sets.
-    Returns each system's table size and the mismatches.  The tier-1 test
-    runs it at rank 8, CI at rank 32."""
+    code, ``induced_node_permutation`` for the flip, the pairing
+    ``<alpha_j, 2 rho^vee> = 2`` at each of the component's simple roots,
+    and, for the odd white neighbours, ``<alpha_j, 2 rho^vee>`` summed over
+    the component's positive coroots at each node bonded to it, as
+    ``test_diagram._araki_by_roots`` sums them; then the table's size
+    against the count of connected node sets.  Returns each system's table
+    size and the mismatches.  The tier-1 test runs it at rank 8, CI at rank 32."""
     sizes, bad = {}, []
     for t in [f"{f}{n}" for f in _FAMILIES for n in range(1, bound + 1) if _rank_ok(f, n)]:
         for types in ([t], [t, t]):
             rs = build_root_system(types)
+            coroots = _coroots_by_form(rs)
             connected = _grown_connected_sets(rs.cartan)
             for comp in sorted(connected):
                 if components_by_matrix_scan(rs.cartan, comp) != (comp,):
                     bad.append(f"{types} {comp}: grown but not connected")
                 (entry,) = SatakeDiagram(types, comp, ())._black_components
-                _, flip, k = entry
+                _, flip, k, odd = entry
                 perm = {i: i for i in comp}
                 perm.update((comp[x], comp[y]) for x, y in flip)
                 if entry is not rs._black_table[comp] or entry[0] != comp:
@@ -397,6 +413,11 @@ def black_table_mismatches(bound: int) -> tuple[dict[str, int], list[str]]:
                     sum(x * rs.cartan[b][j] for x, b in zip(k, comp)) != 2 for j in comp
                 ):
                     bad.append(f"{types} {comp}: 2 rho^vee {k} does not pair to 2")
+                nodes = frozenset(comp)
+                pairings = [p for support, p in coroots if support <= nodes]
+                whites = {j for b in comp for j in range(rs.n) if j not in nodes and rs.cartan[b][j]}
+                if sorted(odd) != sorted(j for j in whites if sum(p[j] for p in pairings) % 2):
+                    bad.append(f"{types} {comp}: odd white neighbours {odd} are not the coroots'")
             sizes["x".join(types)] = len(rs._black_table)
             if len(rs._black_table) != len(connected):
                 bad.append(f"{types}: {len(rs._black_table)} entries, {len(connected)} sets")
@@ -872,6 +893,9 @@ class TestWeights:
         "permutation_cycles((5,))",
         "act_on_weight((1, 1), (3, 4))",
         "act_on_weight((5, 0), (3, 4))",
+        # entries equal to indices but not ints: a node index is an int
+        "permutation_cycles((1.0, 0.0))",
+        "act_on_weight((True, False), (5, 6))",
     ],
 )
 def test_non_permutation_is_refused(call):

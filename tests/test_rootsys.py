@@ -24,7 +24,7 @@ from satake.diagram import SatakeDiagram
 from satake.errors import DiagramDataError
 from satake.rootsys import (
     SimpleType,
-    _positive_roots_from_cartan,
+    _root_closure,
     apply_word,
     build_root_system,
     connected_node_sets,
@@ -200,6 +200,37 @@ COUNTS = {
 }
 
 
+def _predecessor_mismatches(types) -> list[str]:
+    """The predecessor table of the system of ``types`` against its roots:
+    one entry per positive root, each simple root marked -1 at its own
+    node, and every other root an earlier root plus the simple root at
+    its node."""
+    rs = build_root_system(types)
+    preds, nodes = rs._predecessors
+    name = "x".join(types)
+    if not len(preds) == len(nodes) == len(rs.positive_roots):
+        return [f"{name}: {len(preds)} predecessors, {len(nodes)} nodes, {len(rs.positive_roots)} roots"]
+    bad = []
+    for k, (r, p, i) in enumerate(zip(rs.positive_roots, preds, nodes)):
+        if not 0 <= i < rs.n:
+            ok = False
+        elif p == -1:
+            ok = r == rs.simple_root(i)
+        else:
+            ok = 0 <= p < k and tuple(a + b for a, b in zip(rs.positive_roots[p], rs.simple_root(i))) == r
+        if not ok:
+            bad.append(f"{name}: root {k} {r} has predecessor {p} at node {i}")
+    return bad
+
+
+def predecessor_mismatches(bound: int) -> list[str]:
+    """``_predecessor_mismatches`` of every simple and doubled type of rank at
+    most ``bound`` per component.  The tier-1 tests check each type up to
+    rank 8, CI every type up to rank 32."""
+    names = [f"{f}{n}" for f in rootsys._FAMILIES for n in range(1, bound + 1) if rootsys._rank_ok(f, n)]
+    return [m for t in names for types in ([t], [t, t]) for m in _predecessor_mismatches(types)]
+
+
 class TestPositiveRoots:
     @pytest.mark.parametrize("name", sorted(COUNTS))
     def test_counts(self, name):
@@ -228,9 +259,10 @@ class TestPositiveRoots:
     )
     def test_matches_closure_on_full_cartan(self, types):
         # Systems are assembled from per-component roots; the closure run
-        # on the whole Cartan matrix must give the same tuple, order included.
+        # on the whole Cartan matrix must give the same tuple, order included,
+        # and the same predecessor table.
         rs = build_root_system(types)
-        assert rs.positive_roots == _positive_roots_from_cartan(rs.cartan)
+        assert (rs.positive_roots, *rs._predecessors) == _root_closure(rs.cartan)
 
     @pytest.mark.parametrize("name", STRING_ORACLE_TYPES)
     @pytest.mark.parametrize("transposed", [False, True], ids=["cartan", "transpose"])
@@ -240,21 +272,13 @@ class TestPositiveRoots:
         cartan = tuple(map(tuple, rootsys._cartan_block(SimpleType.parse(name))))
         if transposed:
             cartan = tuple(zip(*cartan))
-        assert _positive_roots_from_cartan(cartan) == positive_roots_by_strings(cartan)
+        assert _root_closure(cartan)[0] == positive_roots_by_strings(cartan)
 
     @pytest.mark.parametrize(
         "types", [[t] for t in ALL_SIMPLE] + [[t, t] for t in ALL_SIMPLE], ids="x".join
     )
     def test_predecessor_table(self, types):
-        rs = build_root_system(types)
-        preds, nodes = rs._predecessors
-        assert len(preds) == len(nodes) == len(rs.positive_roots)
-        for k, (r, p, i) in enumerate(zip(rs.positive_roots, preds, nodes)):
-            if p == -1:
-                assert r == rs.simple_root(i)
-            else:
-                assert 0 <= p < k
-                assert tuple(a + b for a, b in zip(rs.positive_roots[p], rs.simple_root(i))) == r
+        assert _predecessor_mismatches(types) == []
 
     def test_is_root(self):
         rs = _sys("A2")
