@@ -186,24 +186,8 @@ class RootSystem(Record):
 
     @stage
     def _closure(self) -> tuple[tuple[Coords, ...], Coords, Coords]:
-        """``_root_closure`` of the Cartan matrix.  A simple system's is its
-        type's, closed once per type; a doubled system's pads that of one
-        component into place and maps its predecessors through one index
-        dict, so TxT costs one T closure."""
-        t = self.components[0]
-        roots, preds, nodes = _component_roots(t)
-        if len(self.components) == 1:
-            return roots, preds, nodes
-        # j is 1 for the first component and 0 for the second, whose roots,
-        # zeros first, sort before the first's at each height
-        pad = (0,) * t.rank
-        spots = sorted([(sum(r), j, m) for j in (0, 1) for m, r in enumerate(roots)])
-        where = {spot[1:]: g for g, spot in enumerate(spots)}
-        return (
-            tuple([roots[m] + pad if j else pad + roots[m] for _, j, m in spots]),
-            tuple([where[j, preds[m]] if preds[m] >= 0 else -1 for _, j, m in spots]),
-            tuple([nodes[m] if j else nodes[m] + t.rank for _, j, m in spots]),
-        )
+        """``_root_closure`` of the Cartan matrix, kept with the system."""
+        return _root_closure(self.cartan)
 
     @stage
     def positive_roots(self) -> tuple[Coords, ...]:
@@ -256,11 +240,6 @@ class RootSystem(Record):
         small ints rather than a tuple of pairs: the table lives as long as
         the cached system, for every type in use."""
         return self._closure[1:]
-
-    @stage
-    def component_nodes(self) -> tuple[tuple[int, ...], ...]:
-        r = self.components[0].rank  # a doubled system's components are equal
-        return tuple(tuple(range(k * r, k * r + r)) for k in range(len(self.components)))
 
     def bilinear(self, v: Sequence[int], w: Sequence[int]) -> int:
         """Invariant symmetric form with ``B(alpha_i, alpha_j) = d_i a_ij``."""
@@ -317,11 +296,6 @@ def _build_cached(comps: tuple[SimpleType, ...]) -> RootSystem:
         start += t.rank
     frozen = tuple(tuple(row) for row in cartan)
     return RootSystem(comps, frozen, tuple(symmetrizer))
-
-
-@lru_cache(maxsize=None)
-def _component_roots(t: SimpleType) -> tuple[tuple[Coords, ...], Coords, Coords]:
-    return _root_closure(tuple(tuple(row) for row in _cartan_block(t)))
 
 
 def _check_node(rs: RootSystem, i: int) -> None:

@@ -98,7 +98,7 @@ def test_rank_bound_flag(capsys):
 
 def test_rank_cap_exits_2(capsys, monkeypatch):
     # rejected before any root is generated
-    monkeypatch.setattr("satake.rootsys._component_roots", None)
+    monkeypatch.setattr("satake.rootsys._root_closure", None)
     over = MAX_RANK + 1
     assert run(["epsilon", f"A{over} black= arrows="]) == 2
     assert f"cap of {MAX_RANK}" in capsys.readouterr().err

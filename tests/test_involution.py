@@ -254,12 +254,11 @@ class TestDerivedOnce:
             assert calls["longest_element"] <= 1, rec.name
 
     def test_node_map_closes_no_root_system(self):
-        # A fresh interpreter, so the per-type root cache starts cold.
+        # A fresh interpreter, so no cached system has closed its roots yet.
         code = (
             "from satake import black_corrections, classify, dual_cartan_involution,"
             " parse_diagram, real_structure_verdict, restricted_roots,"
             " satake_automorphism, validate\n"
-            "from satake.rootsys import _component_roots\n"
             "classify()\n"
             "d = parse_diagram('E8 black=2,3,4,5 arrows=')\n"
             "assert validate(d).ok\n"
@@ -267,9 +266,9 @@ class TestDerivedOnce:
             "real_structure_verdict(d)\n"
             "dual_cartan_involution(d)\n"
             "black_corrections(d)\n"
-            "print(_component_roots.cache_info().currsize)\n"
+            "print(int('_closure' in d.rs.__dict__))\n"
             "restricted_roots(d)\n"
-            "print(_component_roots.cache_info().currsize)\n"
+            "print(int('_closure' in d.rs.__dict__))\n"
         )
         env = {**os.environ, "PYTHONPATH": str(Path(satake.__file__).parents[1])}
         proc = subprocess.run(

@@ -60,7 +60,7 @@ def _sys(spec):
 class TestConstruction:
     def test_rank_cap(self, monkeypatch):
         # rejected before any root is generated
-        monkeypatch.setattr(rootsys, "_component_roots", None)
+        monkeypatch.setattr(rootsys, "_root_closure", None)
         with pytest.raises(ValueError, match="cap"):
             SimpleType("A", rootsys.MAX_RANK + 1)
         with pytest.raises(ValueError, match="cap"):
@@ -125,7 +125,6 @@ class TestConstruction:
                 build_root_system(bad)
         rs = build_root_system(["B2", "B2"])
         assert rs.n == 4
-        assert rs.component_nodes == ((0, 1), (2, 3))
         assert rs.cartan[0][2] == 0
 
     def test_build_accepts_simpletype_values(self):
@@ -223,6 +222,29 @@ def _predecessor_mismatches(types) -> list[str]:
     return bad
 
 
+def _closure_by_components(types) -> tuple:
+    """``_root_closure``'s output for the system of ``types`` built from its
+    type T's alone: each root of T padded with zeros into each component's
+    place, merged by height then lexicographically, each predecessor padded
+    into the same place and found by its root, and each node shifted by the
+    component's first index.  One component is T's closure as it stands."""
+    t = SimpleType.parse(types[0])
+    roots, preds, nodes = _root_closure(tuple(map(tuple, rootsys._cartan_block(t))))
+    r, k = t.rank, len(types)
+    placed = {}  # padded root -> (padded predecessor or None, node)
+    for c in range(k):
+        before, after = (0,) * (c * r), (0,) * ((k - 1 - c) * r)
+        for v, p, i in zip(roots, preds, nodes):
+            placed[before + v + after] = (None if p < 0 else before + roots[p] + after, i + c * r)
+    merged = sorted(placed, key=lambda v: (sum(v), v))
+    index = {v: k for k, v in enumerate(merged)}
+    return (
+        tuple(merged),
+        tuple(-1 if placed[v][0] is None else index[placed[v][0]] for v in merged),
+        tuple(placed[v][1] for v in merged),
+    )
+
+
 def predecessor_mismatches(bound: int) -> list[str]:
     """``_predecessor_mismatches`` of every simple and doubled type of rank at
     most ``bound`` per component.  The tier-1 tests check each type up to
@@ -258,11 +280,11 @@ class TestPositiveRoots:
         "types", [[t] for t in ALL_SIMPLE] + [[t, t] for t in ALL_SIMPLE], ids="x".join
     )
     def test_matches_closure_on_full_cartan(self, types):
-        # Systems are assembled from per-component roots; the closure run
-        # on the whole Cartan matrix must give the same tuple, order included,
-        # and the same predecessor table.
+        # Every system closes its whole Cartan matrix; T's closure padded
+        # into each component's place and merged by height then lex must give
+        # the same tuple, order included, and the same predecessor table.
         rs = build_root_system(types)
-        assert (rs.positive_roots, *rs._predecessors) == _root_closure(rs.cartan)
+        assert (rs.positive_roots, *rs._predecessors) == _closure_by_components(types)
 
     @pytest.mark.parametrize("name", STRING_ORACLE_TYPES)
     @pytest.mark.parametrize("transposed", [False, True], ids=["cartan", "transpose"])
