@@ -244,7 +244,6 @@ def _black_entry(rs: RootSystem, comp: tuple[int, ...]) -> tuple:
         [j for b, x in zip(comp, coeffs) if x % 2 for j in nbrs[b] if a[b][j] % 2 and j not in comp])
 
 
-# Bounded: the connected black sets of the types up to rank 8 have 41 Cartan blocks.
 @lru_cache(maxsize=128)
 def _black_shape(block: Matrix) -> tuple[tuple[tuple[int, int], ...], Coords]:
     """A connected black set's data, in the local indices of its Cartan block.
@@ -425,8 +424,6 @@ def _restricted_label(rs: RootSystem, first: dict, positive: Container[Coords]) 
     return _label(tuple(rows), any(tuple(2 * x for x in b) in positive for b in first))
 
 
-# Bounded: the census draws of seeds 1 and 2 and catalog(32) meet 256 restricted Cartan matrices.
-@lru_cache(maxsize=512)
 def _label(cartan: Matrix, non_reduced: bool) -> str | None:
     """The type of an integral Cartan matrix, BC when ``non_reduced``; None for no type."""
     labels: list[SimpleType] = []
@@ -463,8 +460,6 @@ class _Memo(dict):
             self[key] = entry
 
 
-# Bounded: the default catalog's read-out is 205 records, as many bases, and
-# 2,923 (base, vector) pairs, which ``catalog-derive`` reads pass after pass.
 _coordinates_memo, _plan_memo, _json_memo = _Memo(4096), _Memo(256), _Memo(256)
 
 

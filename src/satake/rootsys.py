@@ -89,18 +89,10 @@ class SimpleType(Record):
 
     @classmethod
     def parse(cls, text: str) -> "SimpleType":
-        if not isinstance(text, str):
+        m = re.fullmatch(r"([A-G])([0-9]+)", text) if isinstance(text, str) else None
+        if not m:
             raise ValueError(f"not a simple type: {text!r}")
-        return _parse_type(text)
-
-
-# Bounded: a process meets a few dozen type names, each read once.
-@lru_cache(maxsize=64)
-def _parse_type(text: str) -> SimpleType:
-    m = re.fullmatch(r"([A-G])([0-9]+)", text)
-    if not m:
-        raise ValueError(f"not a simple type: {text!r}")
-    return SimpleType(m.group(1), int(m.group(2)))
+        return cls(m.group(1), int(m.group(2)))
 
 
 def _layout(t: SimpleType) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
@@ -251,32 +243,35 @@ class RootSystem(Record):
 
 def _components(types: Sequence[SimpleType | str]) -> tuple[SimpleType, ...]:
     """The components parsed, one type or two equal ones; else ``ValueError``."""
-    # a name reads its interned type, so equal components are mostly identical
-    comps = tuple([_parse_type(t) if type(t) is str else t if isinstance(t, SimpleType)
-                   else SimpleType.parse(t) for t in types])
+    if isinstance(types, str):
+        raise ValueError(f"component types are not a sequence: {types!r}")
+    comps = tuple([t if isinstance(t, SimpleType) else SimpleType.parse(t) for t in types])
     if not comps:
         raise ValueError("at least one simple type is required")
     if len(comps) > 2:
         raise ValueError("at most two components are supported")
-    if len(comps) == 2 and comps[0] is not comps[1] and comps[0] != comps[1]:
+    if len(comps) == 2 and comps[0] != comps[1]:
         raise ValueError(f"a doubled system needs two equal types, got {comps[0]} and {comps[1]}")
     return comps
 
 
 def build_root_system(types: Sequence[SimpleType | str]) -> RootSystem:
     """The root system of one simple type or a doubled pair (a complex algebra
-    as real), each given as a ``SimpleType`` or a string like ``"A3"``."""
-    if type(types) is tuple and all([type(t) is str for t in types]):
-        return _system_by_names(types)
-    return _build_cached(_components(types))
+    as real), each given as a ``SimpleType`` or a string like ``"A3"``; one
+    object per type, however it is spelt."""
+    try:
+        return _systems[types]
+    except (KeyError, TypeError):  # not a tuple of canonical names: parsed, not stored
+        comps = _components(types)
+    key = tuple(map(str, comps))
+    return _systems.get(key) or _systems.setdefault(key, _build(comps))
 
 
-# A tuple of names, looked up before it is parsed.  Bounded: "A03" spells A3 too.
-_system_by_names = lru_cache(maxsize=256)(lambda names: _build_cached(_components(names)))
+# The systems built, by canonical names such as ("A3",) or ("A3", "A3").
+_systems: dict[tuple[str, ...], RootSystem] = {}
 
 
-@lru_cache(maxsize=None)
-def _build_cached(comps: tuple[SimpleType, ...]) -> RootSystem:
+def _build(comps: tuple[SimpleType, ...]) -> RootSystem:
     n = sum(t.rank for t in comps)
     cartan = [[0] * n for _ in range(n)]
     start = 0

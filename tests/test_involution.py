@@ -944,6 +944,18 @@ def test_read_out_memos_hold_the_default_catalog(full_catalog):
     assert (len(rrs), pairs) == (205, 2923)
     assert involution._json_memo.bound >= len(rrs)
     assert involution._coordinates_memo.bound >= pairs
+    # a fresh interpreter, so each miss is a distinct key of the default catalog
+    code = (
+        "from satake import catalog, involution, restricted_roots\n"
+        "for rec in catalog(8):\n    restricted_roots(rec.diagram)\n"
+        "info = involution._black_shape.cache_info()\n"
+        "print(info.misses, info.currsize, info.maxsize)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(satake.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert proc.stdout.split() == ["34", "34", "128"]
 
 
 def _span_solve(base, vec):

@@ -136,6 +136,24 @@ class TestConstruction:
         for types in (["A3"], (SimpleType("A", 3),), ("A03",), [SimpleType("A", 3)]):
             assert build_root_system(types) is rs, types
         assert build_root_system(("A3", "A3")) is build_root_system([SimpleType("A", 3)] * 2)
+        doubled = build_root_system(("A3", "A3"))
+        for types in (["A3", "A03"], ("A003", SimpleType("A", 3)), [SimpleType("A", 3), "A3"]):
+            assert build_root_system(types) is doubled, types
+        # the store keeps one entry per type: an alias is read, never stored
+        size = len(rootsys._systems)
+        for k in range(1, 1001):
+            assert build_root_system(("A" + "0" * k + "3",)) is rs
+        assert len(rootsys._systems) == size
+
+    @pytest.mark.parametrize("text", ["A3", "A3xA3", ""])
+    def test_a_bare_string_is_not_a_sequence_of_types(self, text):
+        # not read as the names "A" and "3"; worded as the diagram constructor words it
+        with pytest.raises(ValueError) as exc:
+            build_root_system(text)
+        assert str(exc.value) == f"component types are not a sequence: {text!r}"
+        with pytest.raises(DiagramDataError) as exc:
+            SatakeDiagram(text, (), ())
+        assert exc.value.failures == (("component types are not a sequence", repr(text)),)
 
     @pytest.mark.parametrize(
         "bad,text",
