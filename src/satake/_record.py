@@ -1,4 +1,4 @@
-"""Base of the package's immutable value classes, and their JSON text."""
+"""Base of the package's immutable value classes."""
 
 
 class Record:
@@ -74,27 +74,3 @@ def _bind(cls: type[Record], args: tuple, kwargs: dict) -> tuple:
         )
     return values
 
-
-def _json_list(items: list[str], level: int) -> str:
-    """A JSON list at nesting ``level`` whose items are already indented."""
-    if not items:
-        return "[]"
-    return "[\n" + ",\n".join(items) + "\n" + "  " * level + "]"
-
-
-def _json_object(record: Record, level: int) -> str:
-    """``json.dumps`` of the record's fields as an object, ``indent=2``, at
-    nesting ``level``, a tuple written as a list.  Built directly, with
-    ``json`` quoting each value, as CPython's ``json`` indents only in its
-    pure-Python encoder; field names are identifiers and need no escaping."""
-    import json
-
-    q = json.dumps
-    inner = "  " * (level + 1)
-    items = [
-        f'{inner}"{name}": '
-        + (_json_list([inner + "  " + q(x) for x in value], level + 1)
-           if isinstance(value, tuple) else q(value))
-        for name, value in zip(record._fields, record._key)
-    ]
-    return "{\n" + ",\n".join(items) + "\n" + "  " * level + "}"

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from ._record import Record, _json_list, _json_object
+from ._record import Record
 from .diagram import SatakeDiagram, parse_diagram
 from .errors import UnknownRealFormError
 from .involution import permutation_cycles, satake_automorphism
@@ -256,11 +256,8 @@ def classify(rank_bound: int = 8) -> ClassificationTable:
 
 def classification_to_json(table: ClassificationTable) -> str:
     """``json.dumps(payload, indent=2)`` of ``{"rank_bound": ...,
-    "real_forms": [row, ...]}``, each row an object of its fields.  The
-    wrapper is written here, its key differing from the field ``rows``,
-    and each row by ``_json_object``."""
+    "real_forms": [row, ...]}``, each row an object of its fields in order."""
     import json
 
-    rows = _json_list(["    " + _json_object(row, 2) for row in table.rows], 1)
-    head = '{\n  "rank_bound": ' + json.dumps(table.rank_bound)
-    return head + ',\n  "real_forms": ' + rows + "\n}"
+    rows = [dict(zip(row._fields, row._key)) for row in table.rows]
+    return json.dumps({"rank_bound": table.rank_bound, "real_forms": rows}, indent=2)

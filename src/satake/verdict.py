@@ -23,7 +23,7 @@ written from its own values on every call.
 
 from __future__ import annotations
 
-from ._record import Record, _json_object
+from ._record import Record
 from .errors import DiagramDataError
 from .involution import satake_automorphism
 
@@ -118,7 +118,9 @@ def verdict_to_json(v: StructureVerdict) -> str:
     other record is written from its own values on every call."""
     text = _texts.get(id(v))
     if text is None:
-        text = _json_object(v, 0)
+        import json
+
+        text = json.dumps(dict(zip(v._fields, v._key)), indent=2)
         if id(v) in _texts:
             _texts[id(v)] = text
     return text

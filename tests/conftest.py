@@ -49,17 +49,18 @@ def roots_by_orbit(rs: RootSystem) -> frozenset[tuple[int, ...]]:
     """All roots, computed as the reflection orbit of the simple roots."""
     current = {rs.simple_root(i) for i in range(rs.n)}
     current |= {tuple(-x for x in r) for r in current}
-    while True:
-        grown = set(current)
-        for r in current:
+    frontier = current
+    while frontier:  # each root found is reflected once, in the round after it is found
+        grown = set()
+        for r in frontier:
             for i in range(rs.n):
                 c = rs.pairing(r, i)
                 img = list(r)
                 img[i] -= c
                 grown.add(tuple(img))
-        if grown == current:
-            return frozenset(current)
-        current = grown
+        frontier = grown - current
+        current |= frontier
+    return frozenset(current)
 
 
 def reflect_simple(rs: RootSystem, i: int, v) -> tuple[int, ...]:

@@ -35,15 +35,17 @@ def package_caches() -> set[str]:
     return {path for path, _ in _scanned()}.union(NAMED)
 
 
-def bounded_fills() -> list[str]:
-    """Each bounded cache's fill against its bound, one line each; CI prints
-    them after the selftest at the rank cap."""
+def cache_fills() -> list[str]:
+    """Each scanned cache's fill, against its bound where it has one, one
+    line each; CI prints them after the selftest at the rank cap."""
     out = []
     for path, obj in _scanned():
         if isinstance(obj, involution._Memo):
             out.append(f"{path}: {len(obj)} of {obj.bound}")
-        elif (info := obj.cache_info()).maxsize is not None:
-            out.append(f"{path}: {info.currsize} of {info.maxsize}, {info.misses} misses")
+        else:
+            info = obj.cache_info()
+            bound = info.maxsize or "no bound"
+            out.append(f"{path}: {info.currsize} of {bound}, {info.misses} misses")
     return out
 
 

@@ -255,6 +255,8 @@ class TestClassification:
                 ClassificationRow('a "quoted" name', "back\\slash\tand tab", "(1 2)", False),
                 ClassificationRow("so\u2217(8) \u00e9\u00e8", "\U0001d53c\n", "identity", True),
             ),
+            # a row holding a list is indented as json.dumps indents it
+            [ClassificationRow("sl(2,R)", "A1 black= arrows=", ["identity", ("1",)], True)],
         ],
     )
     def test_json_text_of_a_hand_built_table(self, rows):

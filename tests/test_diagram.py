@@ -5,6 +5,7 @@ from __future__ import annotations
 import inspect
 import itertools
 import re
+from collections.abc import Iterator
 
 import pytest
 from conftest import diagram_automorphisms, node_map_report, positive_roots_by_orbit
@@ -399,12 +400,12 @@ def _fresh(text: str) -> SatakeDiagram:
     return SatakeDiagram(d.types, d.black, d.arrows)
 
 
-def _census(types) -> list[SatakeDiagram]:
+def _census(types) -> Iterator[SatakeDiagram]:
     """Every black set with every involutive diagram automorphism omega,
-    arrows on the 2-cycles of omega whose ends are both white."""
+    arrows on the 2-cycles of omega whose ends are both white; drawn one
+    at a time, as rank 16 has 131,072 of them for one type."""
     rs = build_root_system(types)
     n = rs.n
-    out = []
     for g in diagram_automorphisms(rs.cartan):
         if any(g[g[i]] != i for i in range(n)):
             continue
@@ -412,8 +413,7 @@ def _census(types) -> list[SatakeDiagram]:
             itertools.combinations(range(n), k) for k in range(n + 1)
         ):
             arrows = [(i, g[i]) for i in range(n) if i < g[i] and not {i, g[i]} & set(black)]
-            out.append(SatakeDiagram.create(types, black, arrows))
-    return out
+            yield SatakeDiagram.create(types, black, arrows)
 
 
 def _coroot_pairings(rs) -> list[tuple[frozenset, tuple[int, ...]]]:
@@ -438,17 +438,11 @@ def _araki_by_roots(d: SatakeDiagram, coroots) -> bool:
     )
 
 
-def one_edit_census(bound: int) -> tuple[int, int, list[str]]:
-    """Every one-edit neighbour of each single-type catalog diagram of rank
-    at most ``bound``: one node's colour toggled, dropping any arrow at it,
-    one arrow dropped, or one arrow added between two free white nodes.
-    Returns how many distinct neighbours there are, how many ``validate``
-    accepts, and those on which it disagrees with membership in the
-    catalog closed under diagram automorphisms.  The tier-1 test runs it
-    at rank 16, CI at rank 32.
-    """
+def _catalog_closure(bound: int) -> set[SatakeDiagram]:
+    """The single-type catalog diagrams of rank at most ``bound`` and their
+    images under every diagram automorphism."""
     autos: dict = {}
-    closure, edits = set(), set()
+    closure = set()
     for d in (rec.diagram for rec in catalog(bound) if not rec.diagram.is_doubled):
         if d.types not in autos:
             autos[d.types] = diagram_automorphisms(d.rs.cartan)
@@ -458,6 +452,54 @@ def one_edit_census(bound: int) -> tuple[int, int, list[str]]:
             )
             for g in autos[d.types]
         )
+    return closure
+
+
+def _validated(types) -> tuple[int, set[SatakeDiagram], list[str]]:
+    """Every painted diagram of ``types`` (``_census``): how many there are,
+    those ``validate`` accepts, and those where the node map passes and
+    ``validate`` disagrees with Araki's rule from the roots (``_araki_by_roots``)."""
+    coroots = _coroot_pairings(build_root_system(types))
+    count, accepted, bad = 0, set(), []
+    for d in _census(types):
+        count += 1
+        ok = validate(d).ok
+        if node_map_report(d).ok and ok != _araki_by_roots(d, coroots):
+            bad.append(f"{format_diagram(d)}: validate {ok}, Araki's rule from the roots {not ok}")
+        if ok:
+            accepted.add(d)
+    return count, accepted, bad
+
+
+def painted_census(bound: int, lowest: int = 1) -> tuple[int, int, list[str]]:
+    """Every painted diagram of each simple type of rank ``lowest`` to
+    ``bound``.  Returns how many there are, how many ``validate`` accepts,
+    and those on which it disagrees with Araki's rule from the roots or
+    with membership in the catalog closed under diagram automorphisms.
+    The tier-1 test runs it to rank 10, CI to rank 16."""
+    count, accepted, bad = 0, set(), []
+    ranks = range(lowest, bound + 1)
+    for t in (SimpleType(f, r) for f in "ABCDEFG" for r in ranks if _rank_ok(f, r)):
+        n, ok, wrong = _validated([t])
+        count, bad = count + n, bad + wrong
+        accepted |= ok
+    closure = {d for d in _catalog_closure(bound) if d.n >= lowest}
+    bad += [f"{format_diagram(d)}: accepted, not in the closure" for d in accepted - closure]
+    bad += [f"{format_diagram(d)}: in the closure, not accepted" for d in closure - accepted]
+    return count, len(accepted), sorted(bad)
+
+
+def one_edit_census(bound: int) -> tuple[int, int, list[str]]:
+    """Every one-edit neighbour of each single-type catalog diagram of rank
+    at most ``bound``: one node's colour toggled, dropping any arrow at it,
+    one arrow dropped, or one arrow added between two free white nodes.
+    Returns how many distinct neighbours there are, how many ``validate``
+    accepts, and those on which it disagrees with membership in the
+    catalog closed under diagram automorphisms.  The tier-1 test runs it
+    at rank 16, CI at rank 32.
+    """
+    closure, edits = _catalog_closure(bound), set()
+    for d in (rec.diagram for rec in catalog(bound) if not rec.diagram.is_doubled):
         black, arrows = d.black, d.arrows
         free = [i for i in d.whites if all(i not in pair for pair in arrows)]
         edits.update(
@@ -481,32 +523,13 @@ class TestAraki:
 
     SIMPLE = [SimpleType(f, r) for f in "ABCDEFG" for r in range(1, 9) if _rank_ok(f, r)]
 
-    def _accepted(self, types) -> set:
-        coroots = _coroot_pairings(build_root_system(types))
-        out = set()
-        for d in _census(types):
-            ok = validate(d).ok
-            if node_map_report(d).ok:
-                assert ok == _araki_by_roots(d, coroots), format_diagram(d)
-            if ok:
-                out.add(d)
-        return out
-
     def test_census_accepts_the_catalog_up_to_automorphisms(self):
-        # 3,606 candidates over the simple types of rank 8 or less; the
-        # accepted ones are the catalog's diagrams and their images under
-        # the diagram automorphisms, none missing and none extra
-        assert sum(len(_census([t])) for t in self.SIMPLE) == 3606
-        accepted = set().union(*(self._accepted([t]) for t in self.SIMPLE))
-        closure = {
-            SatakeDiagram.create(
-                d.types, [g[i] for i in d.black], [(g[i], g[j]) for i, j in d.arrows]
-            )
-            for d in (rec.diagram for rec in catalog() if not rec.diagram.is_doubled)
-            for g in diagram_automorphisms(d.rs.cartan)
-        }
-        assert (len(accepted - closure), len(closure - accepted)) == (0, 0)
-        assert len(accepted) == 179
+        # 3,606 candidates over the simple types of rank 8 or less, and
+        # 12,822 to rank 10; the accepted ones are the catalog's diagrams
+        # and their images under the diagram automorphisms, none missing
+        # and none extra, and each agrees with Araki's rule from the roots
+        assert painted_census(8) == (3606, 179, [])
+        assert painted_census(10, lowest=9) == (12822 - 3606, 252 - 179, [])
 
     def test_one_edit_census(self):
         # beyond the rank-8 census: the 13,072 neighbours of the catalog's
@@ -520,9 +543,10 @@ class TestAraki:
         # with k those T accepts, or the complex algebra as real, whose
         # arrows pair node i with node n + g(i), one diagram for each of
         # the s automorphisms g of T
-        k = len(self._accepted([t]))
+        _, accepted, bad = _validated([t])
+        _, doubled, doubled_bad = _validated([t, t])
         s = len(diagram_automorphisms(build_root_system([t]).cartan))
-        assert len(self._accepted([t, t])) == k * k + s
+        assert (len(doubled), bad, doubled_bad) == (len(accepted) ** 2 + s, [], [])
 
     def test_pinned_examples(self):
         report = validate(parse_diagram("A2 black=1 arrows="))

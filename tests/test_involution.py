@@ -444,7 +444,7 @@ class TestBlackShape:
     against oracles that share none of their code."""
 
     def test_block_count(self):
-        # the 41 blocks up to rank 8 that the memo's bound is sized for, and the 4 of rank 32
+        # the 41 blocks up to rank 8, and the 4 of rank 32
         assert len(_black_blocks()) == 41 + 4
 
     def test_flip_is_the_words_flip(self):
@@ -955,7 +955,33 @@ def test_read_out_memos_hold_the_default_catalog(full_catalog):
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
     )
-    assert proc.stdout.split() == ["34", "34", "128"]
+    assert proc.stdout.split() == ["34", "34", "None"]
+
+
+def test_black_shape_memo_keeps_every_block_up_to_the_rank_cap():
+    # every connected node set of A32, B32, C32, D32 and the exceptional
+    # types: each smaller type of a family lies in its rank-32 type as an
+    # end of the chain with its local order, so these meet every connected
+    # Cartan block up to the rank cap, 137 of them, and none is dropped
+    code = (
+        "from satake import involution\n"
+        "from satake.rootsys import build_root_system\n"
+        "for t in ('A32', 'B32', 'C32', 'D32', 'E6', 'E7', 'E8', 'F4', 'G2'):\n"
+        "    rs = build_root_system([t])\n"
+        "    level = {(i,) for i in range(rs.n)}\n"
+        "    while level:\n"
+        "        for comp in level:\n"
+        "            involution._black_entry(rs, comp)\n"
+        "        level = {tuple(sorted((*c, v)))\n"
+        "                 for c in level for u in c for v in rs._nbrs[u] if v not in c}\n"
+        "info = involution._black_shape.cache_info()\n"
+        "print(info.misses, info.currsize, info.maxsize)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(satake.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert proc.stdout.split() == ["137", "137", "None"]
 
 
 def _span_solve(base, vec):

@@ -86,7 +86,13 @@ def test_json_text_is_json_dumps(tag, name, hyp):
 
 @pytest.mark.parametrize(
     "citations, caveats",
-    [((), ()), (('"Thm" 1\\2',), ("caf\u00e9 \u2260 tea\n", "\U0001d53c\ttab"))],
+    [
+        ((), ()),
+        (('"Thm" 1\\2',), ("caf\u00e9 \u2260 tea\n", "\U0001d53c\ttab")),
+        # a list field, and nested items, are indented as json.dumps indents them
+        (["Thm1.1"], []),
+        ((("Thm1.1", "p. 3"),), ({"note": ["a", ()]}, [])),
+    ],
 )
 def test_json_text_of_a_hand_built_verdict(citations, caveats):
     v = StructureVerdict('say "unknown"', False, "back\\slash", "\u00fcber", citations, caveats)
