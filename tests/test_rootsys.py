@@ -263,12 +263,14 @@ def _closure_by_components(types) -> tuple:
     )
 
 
-def predecessor_mismatches(bound: int) -> list[str]:
+def predecessor_mismatches(bound: int) -> tuple[dict[str, int], list[str]]:
     """``_predecessor_mismatches`` of every simple and doubled type of rank at
-    most ``bound`` per component.  The tier-1 tests check each type up to
-    rank 8, CI every type up to rank 32."""
+    most ``bound`` per component, with how many systems and roots there are."""
     names = [f"{f}{n}" for f in rootsys._FAMILIES for n in range(1, bound + 1) if rootsys._rank_ok(f, n)]
-    return [m for t in names for types in ([t], [t, t]) for m in _predecessor_mismatches(types)]
+    systems = [types for t in names for types in ([t], [t, t])]
+    roots = sum(len(build_root_system(types).positive_roots) for types in systems)
+    bad = [m for types in systems for m in _predecessor_mismatches(types)]
+    return {"systems": len(systems), "roots": roots}, bad
 
 
 class TestPositiveRoots:
