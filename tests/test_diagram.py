@@ -498,13 +498,22 @@ def doubled_census(bound: int) -> tuple[dict[str, int], list[str]]:
     Araki's rule from the roots."""
     count, accepted, bad = 0, 0, []
     for t in (SimpleType(f, r) for f in "ABCDEFG" for r in range(1, bound + 1) if _rank_ok(f, r)):
-        _, simple, simple_bad = _validated([t])
-        n, doubled, doubled_bad = _validated([t, t])
-        s = len(diagram_automorphisms(build_root_system([t]).cartan))
-        count, accepted, bad = count + n, accepted + len(doubled), bad + simple_bad + doubled_bad
-        if len(doubled) != len(simple) ** 2 + s:
-            bad.append(f"{t}x{t}: {len(doubled)} accepted, not {len(simple)}^2 + {s}")
+        n, doubled, wrong = _doubled(t)
+        count, accepted, bad = count + n, accepted + doubled, bad + wrong
     return {"candidates": count, "accepted": accepted}, bad
+
+
+def _doubled(t: SimpleType) -> tuple[int, int, list[str]]:
+    """How many painted diagrams TxT has, how many ``validate`` accepts,
+    and what is wrong: T or TxT against Araki's rule, or the count
+    against k * k + s."""
+    _, simple, simple_bad = _validated([t])
+    n, doubled, doubled_bad = _validated([t, t])
+    s = len(diagram_automorphisms(build_root_system([t]).cartan))
+    bad = simple_bad + doubled_bad
+    if len(doubled) != len(simple) ** 2 + s:
+        bad.append(f"{t}x{t}: {len(doubled)} accepted, not {len(simple)}^2 + {s}")
+    return n, len(doubled), bad
 
 
 def one_edit_census(bound: int) -> tuple[dict[str, int], list[str]]:
@@ -543,6 +552,11 @@ class TestAraki:
     def test_census_accepts_the_catalog_up_to_automorphisms(self):
         # the census to rank 8; its row in test_oracles runs it further
         assert painted_census(8) == ({"candidates": 3606, "accepted": 179}, [])
+
+    @pytest.mark.parametrize("t", [t for t in SIMPLE if t.rank <= 4], ids=str)
+    def test_doubled_types(self, t):
+        # each T alone; the doubled row in test_oracles sums them
+        assert _doubled(t)[2] == []
 
     def test_pinned_examples(self):
         report = validate(parse_diagram("A2 black=1 arrows="))
