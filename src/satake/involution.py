@@ -56,7 +56,6 @@ from .rootsys import (
     Coords,
     Matrix,
     RootSystem,
-    SimpleType,
     _arms,
     _check_permutation,
     _connected_sets,
@@ -396,8 +395,8 @@ class RestrictedRoots(Record):
     ``positive`` is sorted by height then lexicographically;
     ``multiplicity`` counts how many positive roots restrict to each
     vector.  ``label`` names the type of the restricted system (e.g.
-    ``"F4"`` or ``"BC2"``) or is None when there are no restricted
-    roots.
+    ``"F4"``, ``"BC2"`` or ``"BC1+A2"``) or is None when there are no
+    restricted roots.
     """
 
     _fields = ("base", "positive", "multiplicity", "label")
@@ -421,26 +420,27 @@ def _restricted_label(rs: RootSystem, first: dict, positive: Container[Coords]) 
         if any(rem or (k != m and q > 0) for m, (q, rem) in enumerate(qr)):
             return None
         rows.append(tuple(q for q, _ in qr))
-    # a non-reduced system is BC, whose base holds a root b with 2b a root
-    return _label(tuple(rows), any(tuple(2 * x for x in b) in positive for b in first))
+    # a non-reduced component is BC, whose base holds a root b with 2b a root
+    return _label(tuple(rows), {k for k, b in enumerate(first) if tuple(2 * x for x in b) in positive})
 
 
-def _label(cartan: Matrix, non_reduced: bool) -> str | None:
-    """The type of an integral Cartan matrix, BC when ``non_reduced``; None for no type."""
-    labels: list[SimpleType] = []
+def _label(cartan: Matrix, doubled: set[int]) -> str | None:
+    """The type of an integral Cartan matrix, joined by ``+``, a component BC
+    when it holds a row in ``doubled``; None for no type."""
+    labels: list[str] = []
     nbrs = [[j for j, x in enumerate(row) if x and j != i] for i, row in enumerate(cartan)]
     for comp in _connected_sets(nbrs, range(len(cartan))):
-        sub = tuple(tuple(cartan[i][j] for j in comp) for i in comp)
         try:
-            labels.append(identify_cartan(sub))
+            t = identify_cartan(tuple(tuple(cartan[i][j] for j in comp) for i in comp))
         except ValueError:
             return None
-    if non_reduced:
-        # indivisible restricted roots of a BC system form the B pattern
-        # (A1 when the rank is one)
-        ok = len(labels) == 1 and (str(labels[0]) == "A1" or labels[0].family == "B")
-        return f"BC{labels[0].rank}" if ok else None
-    return "+".join(str(t) for t in labels) or None
+        if not doubled.isdisjoint(comp):
+            # indivisible restricted roots of a BC system form the B pattern (A1 at rank one)
+            if str(t) != "A1" and t.family != "B":
+                return None
+            t = f"BC{t.rank}"
+        labels.append(str(t))
+    return "+".join(labels) or None
 
 
 class _Memo(dict):

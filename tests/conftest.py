@@ -12,6 +12,7 @@ compare the two sides.
 from __future__ import annotations
 
 import random
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +20,14 @@ from satake.diagram import ValidationReport
 from satake.errors import DiagramDataError
 from satake.involution import satake_automorphism
 from satake.rootsys import Matrix, RootSystem, identity_matrix, mat_mul, word_matrix
+
+
+WORKFLOW = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tests.yml"
+
+
+def workflow_steps() -> list[str]:
+    """The text of each step of the CI workflow, from its first line."""
+    return WORKFLOW.read_text(encoding="utf-8").split("\n      - ")[1:]
 
 
 def enumerate_weyl(rs: RootSystem) -> dict[Matrix, tuple[int, ...]]:
@@ -148,6 +157,19 @@ def diagram_automorphisms(a: Matrix) -> list[tuple[int, ...]]:
                 yield from extend(perm + [j])
 
     return list(extend([]))
+
+
+def matchings(nodes):
+    """Every set of disjoint pairs of ``nodes``, the empty one included,
+    each pair ascending when ``nodes`` is."""
+    if not nodes:
+        yield ()
+        return
+    first, rest = nodes[0], nodes[1:]
+    yield from matchings(rest)
+    for k, other in enumerate(rest):
+        for m in matchings(rest[:k] + rest[k + 1 :]):
+            yield ((first, other), *m)
 
 
 def node_map_report(d) -> ValidationReport:

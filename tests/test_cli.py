@@ -2,16 +2,22 @@
 
 from __future__ import annotations
 
+import io
 import json
 import os
+import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from conftest import workflow_steps
 
 import satake
 from satake.cli import run
+from satake.diagram import ValidationReport
+from satake.involution import RestrictedRoots
 from satake.rootsys import MAX_RANK
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -270,6 +276,61 @@ def test_selftest_failure_exits_3(capsys, monkeypatch):
     assert all(line.startswith("selftest failure: ") for line in err.splitlines())
 
 
+# One broken input per check of the selftest that the derivation does not
+# enforce: the ``satake.cli`` name replaced, as a function of its original,
+# and the failure it must report.
+BROKEN_SELFTEST_INPUTS = [
+    ("validate", lambda f: lambda d: ValidationReport(False, (("check", "detail"),)), "validation failed: check: detail"),
+    ("induced_node_permutation", lambda f: lambda rs, comp: {}, "flips unlike -w0"),
+    (
+        "satake_automorphism",
+        lambda f: lambda d: d.rs._identity if d.is_doubled else f(d),
+        "doubled diagram does not swap its components",
+    ),
+    ("format_diagram", lambda f: lambda d: "A1 black= arrows=", "text format does not round-trip"),
+    (
+        "restricted_roots",
+        lambda f: lambda d: RestrictedRoots((rr := f(d)).base, rr.positive, {v: 2 for v in rr.positive}, rr.label),
+        "restricted multiplicities do not add up",
+    ),
+    ("base_coordinates", lambda f: lambda base, v: f([], v), "is outside the base span"),
+    ("base_coordinates", lambda f: lambda base, v: (Fraction(1, 2),), "has coordinates (Fraction(1, 2),)"),
+    (
+        "restricted_roots",
+        lambda f: lambda d: RestrictedRoots((rr := f(d)).base, rr.positive, rr.multiplicity, None),
+        "restricted system has roots but no type label",
+    ),
+]
+
+
+@pytest.mark.parametrize("name,broken,message", BROKEN_SELFTEST_INPUTS, ids=[m for *_, m in BROKEN_SELFTEST_INPUTS])
+def test_selftest_reports_each_broken_check(capsys, monkeypatch, name, broken, message):
+    import satake.cli as cli
+
+    monkeypatch.setattr(cli, name, broken(getattr(cli, name)))
+    assert run(["selftest"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and message in err
+    assert all(line.startswith("selftest failure: ") for line in err.splitlines())
+
+
+def test_color_only_on_a_tty_unless_switched_off(monkeypatch):
+    class Tty(io.StringIO):
+        def isatty(self):
+            return True
+
+    def shown(*flags):
+        monkeypatch.setattr(sys, "stdout", Tty())
+        assert run([*flags, "show", "sl(2,R)"]) == 0
+        return sys.stdout.getvalue()
+
+    monkeypatch.delenv("NO_COLOR", raising=False)
+    assert shown().startswith("\x1b[1mname:\x1b[0m sl(2,R)\n")
+    assert "\x1b[" not in shown("--no-color")
+    monkeypatch.setenv("NO_COLOR", "1")
+    assert "\x1b[" not in shown()
+
+
 def test_usage_errors(capsys):
     assert run([]) == 2
     capsys.readouterr()
@@ -284,11 +345,74 @@ def test_no_ansi_when_not_a_tty(capsys):
     assert "\x1b[" not in capsys.readouterr().out
 
 
-def test_console_entry_point_round_trip():
-    cmd = [sys.executable, "-m", "satake.cli", "epsilon", "su(4,2)"]
-    proc = subprocess.run(cmd, capture_output=True, text=True)
-    assert proc.returncode == 0
-    assert proc.stdout.strip() == "(1 5)(2 4)"
+# The command's contract, one fresh ``python -S -X dev -W error`` process
+# per row, so no import made by one path hides a lazy import that fails
+# on its own: the argv of ``-m satake.cli`` (or the code of ``-c``), the
+# exit code, and the whole stdout where it is pinned, else None.
+CLI_CASES = [
+    (["epsilon", "su(4,2)"], 0, "(1 5)(2 4)\n"),
+    (["selftest"], 0, "selftest: 205 catalog diagrams passed all consistency checks\n"),
+    (["show", "so(3,55)"], 1, ""),
+    (["list"], 0, None),
+    (["classify", "--json"], 0, None),
+    (["restricted", "e6(-14)", "--json"], 0, None),
+    # the root closure at the rank cap, and of B32xB32, the largest system built
+    (["restricted", "B32 black= arrows=", "--json"], 0, None),
+    (["--rank-bound", "32", "restricted", "so(65,C)", "--json"], 0, None),
+    (["verdict", "so(3,5)", "--spherical", "--json"], 0, None),
+    # for H = {e}, sigma itself is an equivariant map: "no" only says none is guaranteed
+    (
+        ["verdict", "sl(3,R)"],
+        0,
+        "subgroup conjugacy: hypothesis-required\n"
+        "equivariant map guaranteed: no\n"
+        "real structure on homogeneous space: unknown\n"
+        "real structure on completion: unknown\n"
+        "citations: Thm2.1\n"
+        "caveats:\n"
+        "  - conclusions are stated for connected semisimple complex linear algebraic groups\n"
+        "  - without sphericity the subgroup class need not be stable under conjugation;"
+        " this must be checked by other means\n",
+    ),
+    (["epsilon", "E8 black=2,3,4,5 arrows="], 0, None),
+    (["weights", "A3 black=2 arrows=1:3", "1,0,0"], 0, None),
+    # a negative first coordinate needs no "--", and "--" still works
+    (["weights", "su(2,1)", "-1,0"], 0, "0,-1\n"),
+    (["weights", "su(2,1)", "--", "-1,0"], 0, "0,-1\n"),
+    # int() reads 1_0 as 10; coordinates are ASCII digits with an optional sign
+    (["weights", "su(2,1)", "1_0,0"], 2, ""),
+    # the node map passes, Araki's rule does not: no real form has this diagram
+    (["verdict", "A2 black=1 arrows=", "--spherical", "--self-normalizing"], 2, ""),
+    (["epsilon", "A3xA3 black= arrows="], 0, None),
+    # the submodule is reachable by its name; the package's catalog is the function
+    ("import satake.realforms as c; c.catalog(); import satake; satake.lookup('su(2,1)').diagram", 0, ""),
+    # the package's star-import surface: each module's __all__, joined
+    ("from satake import *", 0, ""),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,code,stdout", CLI_CASES, ids=[a if isinstance(a, str) else " ".join(a) for a, *_ in CLI_CASES]
+)
+def test_cli_case(argv, code, stdout):
+    args = ["-c", argv] if isinstance(argv, str) else ["-m", "satake.cli", *argv]
+    env = {**os.environ, "PYTHONPATH": str(Path(satake.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-S", "-X", "dev", "-W", "error", *args], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == code, proc.stderr
+    assert stdout is None or proc.stdout == stdout
+    assert code or proc.stderr == ""
+
+
+def test_ci_runs_the_command_only_where_no_row_can():
+    # the installed entry point, the bound-16 selftest, too slow for a row,
+    # and the rank-cap selftest, which prints each cache's fill
+    runs = {s.split("\n", 1)[0]: s for s in workflow_steps() if "satake" in s}
+    assert sorted(runs) == ["name: installed entry point", "name: selftest", "name: selftest at the rank cap"]
+    assert re.findall(r"python .*satake.*", runs["name: selftest"]) == [
+        "python -S -X dev -W error -m satake.cli --rank-bound 16 selftest"
+    ]
 
 
 def test_cold_queries_import_only_what_they_run():

@@ -8,7 +8,7 @@ import re
 from collections.abc import Iterator
 
 import pytest
-from conftest import diagram_automorphisms, node_map_report, positive_roots_by_orbit
+from conftest import diagram_automorphisms, matchings, node_map_report, positive_roots_by_orbit
 
 import satake
 from satake import diagram, involution
@@ -22,7 +22,7 @@ from satake.diagram import (
     validate,
 )
 from satake.errors import DiagramDataError, DiagramParseError
-from satake.involution import black_corrections, dual_cartan_involution, satake_automorphism
+from satake.involution import black_corrections, dual_cartan_involution, restricted_roots, satake_automorphism
 from satake.rootsys import SimpleType, _rank_ok, build_root_system
 
 
@@ -299,19 +299,6 @@ BOND_TYPES = [[f"{f}{r}"] for f in "ABCDEFG" for r in range(1, 7) if _rank_ok(f,
 ]
 
 
-def _matchings(nodes: list[int]):
-    """Every set of disjoint pairs of ``nodes``, each pair ascending when
-    ``nodes`` is."""
-    if not nodes:
-        yield []
-        return
-    first, rest = nodes[0], nodes[1:]
-    yield from _matchings(rest)
-    for k, other in enumerate(rest):
-        for m in _matchings(rest[:k] + rest[k + 1 :]):
-            yield [(first, other), *m]
-
-
 def _bond_pattern_by_pairs(d: SatakeDiagram) -> tuple:
     """The bond-pattern failures by definition: every ordered pair of white
     nodes, in order, whose Cartan entry the arrow pairing changes."""
@@ -363,7 +350,7 @@ class TestValidate:
         for black in itertools.chain.from_iterable(
             itertools.combinations(range(n), k) for k in range(n + 1)
         ):
-            for arrows in _matchings([i for i in range(n) if i not in black]):
+            for arrows in matchings([i for i in range(n) if i not in black]):
                 d = SatakeDiagram.create(types, black, arrows)
                 want, fails = _bond_pattern_by_pairs(d), validate(d).failures
                 if want:
@@ -495,7 +482,8 @@ def doubled_census(bound: int) -> tuple[dict[str, int], list[str]]:
     automorphisms g of T; so ``validate`` accepts k * k + s.  Returns how
     many diagrams of TxT there are and how many ``validate`` accepts, and
     each T where that is not k * k + s or where T or TxT disagrees with
-    Araki's rule from the roots."""
+    Araki's rule from the roots, and each accepted diagram of TxT whose
+    restricted type is not ``_doubled_label``."""
     count, accepted, bad = 0, 0, []
     for t in (SimpleType(f, r) for f in "ABCDEFG" for r in range(1, bound + 1) if _rank_ok(f, r)):
         n, doubled, wrong = _doubled(t)
@@ -505,15 +493,34 @@ def doubled_census(bound: int) -> tuple[dict[str, int], list[str]]:
 
 def _doubled(t: SimpleType) -> tuple[int, int, list[str]]:
     """How many painted diagrams TxT has, how many ``validate`` accepts,
-    and what is wrong: T or TxT against Araki's rule, or the count
-    against k * k + s."""
+    and what is wrong: T or TxT against Araki's rule, the count against
+    k * k + s, or an accepted diagram's restricted type."""
     _, simple, simple_bad = _validated([t])
     n, doubled, doubled_bad = _validated([t, t])
     s = len(diagram_automorphisms(build_root_system([t]).cartan))
     bad = simple_bad + doubled_bad
     if len(doubled) != len(simple) ** 2 + s:
         bad.append(f"{t}x{t}: {len(doubled)} accepted, not {len(simple)}^2 + {s}")
+    for d in sorted(doubled, key=format_diagram):
+        label, want = restricted_roots(d).label, _doubled_label(d)
+        if label != want:
+            bad.append(f"{format_diagram(d)}: restricted type {label}, not {want}")
     return n, len(doubled), bad
+
+
+def _doubled_label(d: SatakeDiagram) -> str | None:
+    """The restricted type a real form of TxT has: that of ``T black=
+    arrows=`` for the complex algebra, whose arrows join the components,
+    else the ``+``-join of its two factors' types, compact factors left out."""
+    t, r = d.types[:1], d.types[0].rank
+    if any(i < r <= j for i, j in d.arrows):
+        return restricted_roots(SatakeDiagram.create(t)).label
+    labels = []
+    for lo in (0, r):
+        black = [i - lo for i in d.black if lo <= i < lo + r]
+        arrows = [(i - lo, j - lo) for i, j in d.arrows if lo <= i < lo + r]
+        labels.append(restricted_roots(SatakeDiagram.create(t, black, arrows)).label)
+    return "+".join(filter(None, labels)) or None
 
 
 def one_edit_census(bound: int) -> tuple[dict[str, int], list[str]]:

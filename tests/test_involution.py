@@ -18,7 +18,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from conftest import components_by_matrix_scan, diagram_automorphisms, node_map_report
+from conftest import components_by_matrix_scan, diagram_automorphisms, matchings, node_map_report
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -598,20 +598,8 @@ class TestRestricted:
         for d in random_diagrams_1000 + random_diagrams_500:
             h.update(f"{format_diagram(d)}\t{restricted_roots(d).label}\n".encode())
         assert h.hexdigest() == (
-            "19318eeddc39d7be6c924c56afc7be9a0775d1671b637283b2ea5a184c15fdd6"
+            "2677fe425ed0ba5f878489eca5fe61763a5b8f619a4c94a77e515b5674fc80a7"
         )
-
-
-def _matchings(nodes):
-    """Every set of disjoint pairs of ``nodes``, the empty one included."""
-    if not nodes:
-        yield ()
-        return
-    first, rest = nodes[0], nodes[1:]
-    yield from _matchings(rest)
-    for k, j in enumerate(rest):
-        for m in _matchings(rest[:k] + rest[k + 1:]):
-            yield ((first, j),) + m
 
 
 def test_exhaustive_validate_matches_golden():
@@ -630,7 +618,7 @@ def test_exhaustive_validate_matches_golden():
             itertools.combinations(range(n), k) for k in range(n + 1)
         ):
             whites = tuple(i for i in range(n) if i not in black)
-            for arrows in _matchings(whites):
+            for arrows in matchings(whites):
                 d = SatakeDiagram.create(types, black, arrows)
                 report = node_map_report(d)
                 h.update(f"{format_diagram(d)}\t{report}\n".encode())
@@ -656,7 +644,8 @@ def test_exhaustive_validate_matches_golden():
 
 def _reference_label(rs, rr):
     """The restricted type from the Gram matrix built pair by pair and a
-    scan of every positive restricted root for one that is twice another."""
+    scan of every positive restricted root for one that is twice another;
+    such a root pairs with the base vectors of one component, which is BC."""
     if not rr.base:
         return None
     gram = [[rs.bilinear(b, c) for c in rr.base] for b in rr.base]
@@ -668,20 +657,20 @@ def _reference_label(rs, rr):
         if any(rem or (i != j and q > 0) for j, (q, rem) in enumerate(qr)):
             return None
         cartan.append(tuple(q for q, _ in qr))
+    halves = [s for s in rr.positive if tuple(2 * x for x in s) in rr.multiplicity]
     labels = []
     for comp in components_by_matrix_scan(cartan, range(len(cartan))):
         try:
-            labels.append(identify_cartan(tuple(tuple(cartan[i][j] for j in comp) for i in comp)))
+            t = identify_cartan(tuple(tuple(cartan[i][j] for j in comp) for i in comp))
         except ValueError:
             return None
-    if not any(tuple(2 * x for x in s) in rr.multiplicity for s in rr.positive):
-        return "+".join(map(str, labels))
-    if len(labels) != 1:
-        return None
-    t = labels[0]
-    if (t.family, t.rank) == ("A", 1):
-        return "BC1"
-    return f"BC{t.rank}" if t.family == "B" else None
+        if not any(rs.bilinear(s, rr.base[i]) for s in halves for i in comp):
+            labels.append(str(t))
+        elif (t.family, t.rank) == ("A", 1) or t.family == "B":
+            labels.append(f"BC{t.rank}")
+        else:
+            return None
+    return "+".join(labels)
 
 
 def _stdlib_json(rr) -> str:
@@ -1157,7 +1146,7 @@ def restricted_cartan_mismatches(diagrams) -> list[str]:
     run afresh, hands the label memo, or None when it hands none, against
     ``_cartan_by_bilinear`` of its base; the mismatched diagrams' texts."""
     label, seen, bad = involution._label, [], []
-    involution._label = lambda cartan, non_reduced: seen.append(cartan) or label(cartan, non_reduced)
+    involution._label = lambda cartan, doubled: seen.append(cartan) or label(cartan, doubled)
     try:
         for d in diagrams:
             seen.clear()

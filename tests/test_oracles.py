@@ -14,12 +14,12 @@ from collections import namedtuple
 from pathlib import Path
 
 import pytest
+from conftest import workflow_steps
 import test_diagram as diagram_tests
 import test_involution as involution_tests
 import test_rootsys as rootsys_tests
 
 TESTS = Path(__file__).resolve().parent
-WORKFLOW = TESTS.parent / ".github" / "workflows" / "tests.yml"
 Oracle = namedtuple("Oracle", "name run tier1 ci counts")
 
 
@@ -45,7 +45,7 @@ def test_oracle(oracle):
 def test_ci_runs_the_table_in_one_step():
     # one step on every matrix Python; no other step imports a test module
     # but the rank-cap selftest's, which prints test_caches.cache_fills()
-    steps = WORKFLOW.read_text(encoding="utf-8").split("\n      - ")[1:]
+    steps = workflow_steps()
     (step,) = [s for s in steps if "tests/test_oracles.py" in s]
     assert re.search(r"python -X dev -W error tests/test_oracles.py$", step, flags=re.M) and "if:" not in step
     assert re.findall(r"import (test_\w+)", "".join(steps)) == ["test_caches"]
