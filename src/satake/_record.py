@@ -42,6 +42,19 @@ class Record:
         return f"{type(self).__qualname__}({args})"
 
 
+class ReadOnlyDict(dict):
+    """A ``dict`` whose every edit raises ``TypeError``, with dict's ``repr``
+    and ``==``; pickle and ``copy`` rebuild it from a plain copy."""
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError(f"a {type(self).__name__} cannot be edited")
+
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _refuse
+
+    def __reduce__(self):
+        return type(self), (dict(self),)
+
+
 class stage:
     """``cached_property`` without its lock: ``func`` of the instance, kept
     in its ``__dict__`` on first read, or nothing if ``func`` raises.  Two threads

@@ -33,24 +33,23 @@ rule (Araki 1962, J. Math. Osaka City Univ. 13; Kolb 2014, Adv. Math.
 real form's diagram: each white node j the node map fixes needs
 <alpha_j, rho_X^vee> integral, X the black set, else "not admissible".
 
-The read-out of restricted roots keeps each answer by the identity of
-the objects it came from, hashing no vector: a vector's coordinates in
-``base_coordinates``, with its base, which is read once into a plan, and
-a record's whole text in ``restricted_to_json``, with the multiplicity
-keys and values it read, so a repeated read-out of what ``restricted_roots``
-hands out costs one lookup.  Every entry is read through ``operator.index``,
-so an equal float never shares an int's answer.
+``black_corrections`` and ``restricted_roots`` hand out the diagram's own
+read-only stages; a record's JSON text is a stage of the record.
+``base_coordinates`` keeps each base's plan and each vector's coordinates
+by identity, hashing no vector; every entry is read through
+``operator.index``, so an equal float never shares an int's answer.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Container, Sequence
 from functools import lru_cache
 from itertools import chain, repeat
 from math import lcm
-from operator import add, index, is_, mul, neg, sub
+from operator import add, index, mul, neg, sub
 
-from ._record import Record, stage
+from ._record import ReadOnlyDict, Record, _bind, stage
 from .errors import DiagramDataError
 from .rootsys import (
     Coords,
@@ -192,21 +191,15 @@ class _Derivation:
         return tuple(zip(*cols))
 
     @stage
-    def _corrections(self) -> dict[int, dict[int, int]]:
-        theta = dual_cartan_involution(self)
-        out: dict[int, dict[int, int]] = {}
-        for i in sorted(self.whites):
-            vec = _correction_vector(self, theta, i)
-            out[i] = {b: vec[b] for b in sorted(self.black)}
-        return out
+    def _corrections(self) -> ReadOnlyDict:
+        theta, black = dual_cartan_involution(self), sorted(self.black)
+        vecs = {i: _correction_vector(self, theta, i) for i in sorted(self.whites)}
+        return ReadOnlyDict({i: ReadOnlyDict({b: vec[b] for b in black}) for i, vec in vecs.items()})
 
     @stage
     def _restricted(self) -> "RestrictedRoots":
         seeds, vectors = _root_vectors(self)
-        mult: dict[Coords, int] = {}
-        for s in vectors:
-            if any(s):
-                mult[s] = mult.get(s, 0) + 1
+        mult = Counter(filter(any, vectors))
         positive = tuple(sorted(mult, key=lambda v: (sum(v), v)))
         first: dict[Coords, int] = {}  # each base vector's first white node
         for i in self.whites:
@@ -375,36 +368,53 @@ def _correction_vector(d, theta: Matrix, i: int) -> list[int]:
     return vec
 
 
-def black_corrections(d) -> dict[int, dict[int, int]]:
+def black_corrections(d) -> ReadOnlyDict:
     """Per white node, the nonnegative coefficients over the black nodes.
 
     The involution sends a white simple root to minus its arrow partner
     minus a nonnegative combination of black simple roots; this returns
     those combinations, one inner map per white node, listing every
-    black node (zeros included).
+    black node (zeros included): the diagram's own read-only stage.
     """
-    return {i: dict(inner) for i, inner in d._corrections.items()}
+    return d._corrections
 
 
 class RestrictedRoots(Record):
-    """Restricted root data in doubled coordinates.
+    """Restricted root data in doubled coordinates, immutable as built.
 
     Vectors store ``root - theta(root)``, i.e. twice the anti-fixed
-    projection, so everything stays integral.  ``base`` lists the
-    distinct images of the white simple roots in node order;
-    ``positive`` is sorted by height then lexicographically;
-    ``multiplicity`` counts how many positive roots restrict to each
-    vector.  ``label`` names the type of the restricted system (e.g.
-    ``"F4"``, ``"BC2"`` or ``"BC1+A2"``) or is None when there are no
-    restricted roots.
+    projection, so everything stays integral; they are kept as tuples,
+    and ``multiplicity``, which counts how many positive roots restrict
+    to each vector, as a read-only dict.  ``base`` lists the distinct
+    images of the white simple roots in node order; ``positive`` is
+    sorted by height then lexicographically.  ``label`` names the type
+    of the restricted system (e.g. ``"F4"``, ``"BC2"`` or ``"BC1+A2"``)
+    or is None when there are no restricted roots.
     """
 
     _fields = ("base", "positive", "multiplicity", "label")
 
+    def __init__(self, *args, **kwargs):
+        base, positive, mult, label = _bind(type(self), args, kwargs)
+        Record.__init__(self, *[tuple(map(tuple, vs)) for vs in (base, positive)], ReadOnlyDict(mult), label)
+
+    @stage
+    def _json(self) -> str:
+        """The text of ``restricted_to_json``."""
+        import json
+
+        counts = tuple(map(self.multiplicity.__getitem__, self.positive))
+        items = [f'    {{\n      "root": {_coords_json(v, 3)},\n      "multiplicity": {index(m)}\n    }}'
+                 for v, m in zip(self.positive, counts)]
+        return ('{\n  "type": ' + json.dumps(self.label)
+                + ',\n  "base": ' + _json_list(["    " + _coords_json(v, 2) for v in self.base], 1)
+                + ',\n  "positive": ' + _json_list(items, 1) + "\n}")
+
 
 def restricted_roots(d) -> RestrictedRoots:
-    rr = d._restricted
-    return RestrictedRoots(rr.base, rr.positive, dict(rr.multiplicity), rr.label)
+    """The diagram's restricted root data: its own stage, the same record on
+    every call; ``DiagramDataError`` when the node map fails."""
+    return d._restricted
 
 
 def _restricted_label(rs: RootSystem, first: dict, positive: Container[Coords]) -> str | None:
@@ -461,7 +471,7 @@ class _Memo(dict):
             self[key] = entry
 
 
-_coordinates_memo, _plan_memo, _json_memo = _Memo(4096), _Memo(256), _Memo(256)
+_coordinates_memo, _plan_memo = _Memo(4096), _Memo(256)
 
 
 def base_coordinates(base: Sequence[Coords], vec: Coords) -> tuple:
@@ -566,7 +576,7 @@ def _coords_json(v: Coords, level: int) -> str:
 
 
 def restricted_to_json(rr: RestrictedRoots) -> str:
-    """JSON of the restricted data, with exact rational coordinates.
+    """JSON of the restricted data, exact rational coordinates, written once per record.
 
     The text is exactly ``json.dumps(payload, indent=2)`` of
     ``{"type": label, "base": [...], "positive": [{"root": [...],
@@ -575,29 +585,6 @@ def restricted_to_json(rr: RestrictedRoots) -> str:
     coordinate writer: CPython's ``json`` indents only in its pure-Python
     encoder, and ``json.dumps`` took 8 to 9 times as long on these payloads.
     Coordinates and multiplicities are read through ``operator.index``,
-    so a bool is written 0 or 1 and a float raises TypeError.  The text is
-    kept by the identity of the record's base, positive vectors and label
-    and of each multiplicity key and value, in order, which a ``dict`` copy
-    keeps, so no vector is hashed; an edited, reordered or extended copy
-    of the multiplicities, or another label, is written afresh.
+    so a bool is written 0 or 1 and a float raises TypeError.
     """
-    base, positive, label, mult = rr.base, rr.positive, rr.label, rr.multiplicity
-    hit = _json_memo.get(id(positive))
-    if (hit and hit[0] is base and hit[2] is label and type(mult) is dict and len(mult) == len(hit[3])
-            and all(map(is_, mult, hit[3])) and all(map(is_, mult.values(), hit[4]))):
-        return hit[5]
-    import json
-
-    counts = tuple(map(mult.__getitem__, positive))
-    items = [f'    {{\n      "root": {_coords_json(v, 3)},\n      "multiplicity": {index(m)}\n    }}'
-             for v, m in zip(positive, counts)]
-    text = (
-        '{\n  "type": ' + json.dumps(label)
-        + ',\n  "base": ' + _json_list(["    " + _coords_json(v, 2) for v in base], 1)
-        + ',\n  "positive": ' + _json_list(items, 1) + "\n}"
-    )
-    if type(mult) is dict and (label is None or type(label) is str):
-        # a key's hash and equality may not change while it is a dict's, so its identity suffices
-        keys, values = tuple(mult), tuple(mult.values())
-        _json_memo.keep(id(positive), (base, positive, label, keys, values, text), base, positive, (values,))
-    return text
+    return rr._json

@@ -11,11 +11,15 @@ compare the two sides.
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import satake
 from satake.diagram import ValidationReport
 from satake.errors import DiagramDataError
 from satake.involution import satake_automorphism
@@ -23,6 +27,21 @@ from satake.rootsys import Matrix, RootSystem, identity_matrix, mat_mul, word_ma
 
 
 WORKFLOW = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tests.yml"
+
+
+def fresh_python(code_or_argv, *args: str, flags: str = "", **run) -> subprocess.CompletedProcess:
+    """A fresh interpreter, with its ``flags`` (``"-S"``, ``"-X dev -W error"``),
+    running either ``-c`` code, a ``str`` whose ``sys.argv[1:]`` are ``args``,
+    or ``satake.cli`` with an argv, a list.  It imports this checkout's
+    ``satake``; its output is captured as text, and ``run`` (``check=``,
+    ``timeout=``) goes to ``subprocess.run``."""
+    if isinstance(code_or_argv, str):
+        cmd = ["-c", code_or_argv, *args]
+    else:
+        cmd = ["-m", "satake.cli", *code_or_argv]
+    env = {**os.environ, "PYTHONPATH": str(Path(satake.__file__).parents[1])}
+    argv = [sys.executable, *flags.split(), *cmd]
+    return subprocess.run(argv, capture_output=True, text=True, env=env, **run)
 
 
 def workflow_steps() -> list[str]:

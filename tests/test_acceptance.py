@@ -10,13 +10,11 @@ groups against breadth-first matrix closure.
 from __future__ import annotations
 
 import json
-import subprocess
-import sys
 import time
 from contextlib import contextmanager
 from pathlib import Path
 
-from conftest import enumerate_weyl, positive_roots_by_orbit
+from conftest import enumerate_weyl, fresh_python, positive_roots_by_orbit
 from satake.realforms import catalog, classify, lookup
 from satake.diagram import format_diagram, parse_diagram
 from satake.involution import (
@@ -362,8 +360,7 @@ def test_criterion_8_round_trip_and_deterministic_json(full_catalog, random_diag
             assert parse_diagram(format_diagram(rec.diagram)) == rec.diagram, rec.name
         for k, d in enumerate(random_diagrams_1000):
             assert parse_diagram(format_diagram(d)) == d, k
-        cmd = [sys.executable, "-m", "satake.cli", "classify", "--json"]
-        first = subprocess.run(cmd, capture_output=True, check=True).stdout
-        second = subprocess.run(cmd, capture_output=True, check=True).stdout
+        first = fresh_python(["classify", "--json"], check=True).stdout
+        second = fresh_python(["classify", "--json"], check=True).stdout
         assert first == second
         assert json.loads(first)["rank_bound"] == 8

@@ -3,15 +3,11 @@
 from __future__ import annotations
 
 import json
-import os
-import subprocess
-import sys
 from collections import Counter
-from pathlib import Path
 
 import pytest
+from conftest import fresh_python
 
-import satake
 from satake.realforms import (
     ClassificationRow,
     ClassificationTable,
@@ -71,10 +67,7 @@ class TestCatalogBuild:
             "lookup('e8(-24)').diagram\n"
             "print(parsed())\n"
         )
-        env = {**os.environ, "PYTHONPATH": str(Path(satake.__file__).parents[1])}
-        proc = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
-        )
+        proc = fresh_python(code, check=True)
         assert proc.stdout.split() == ["0", "1"]
 
     def test_records_pin_no_diagram(self):
@@ -86,10 +79,7 @@ class TestCatalogBuild:
             "print(diagram._parse_memo.cache_info().currsize)\n"
             "print(lookup('e8(-24)').diagram is parse_diagram('E8 black=2,3,4,5 arrows='))\n"
         )
-        env = {**os.environ, "PYTHONPATH": str(Path(satake.__file__).parents[1])}
-        proc = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
-        )
+        proc = fresh_python(code, check=True)
         pinned, memo_size, shared = proc.stdout.split()
         assert pinned == "0"
         assert int(memo_size) <= 256

@@ -4,17 +4,14 @@ from __future__ import annotations
 
 import io
 import json
-import os
 import re
-import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from conftest import workflow_steps
+from conftest import fresh_python, workflow_steps
 
-import satake
 from satake.cli import run
 from satake.diagram import ValidationReport
 from satake.involution import RestrictedRoots
@@ -215,12 +212,8 @@ def test_weights_accept_a_sign(capsys):
     assert capsys.readouterr().out.strip() == "0,1"
 
 
-def test_weights_take_a_negative_first_coordinate(capsys):
-    # argparse alone reads "-1,0" as an option and asks for the coordinates
-    assert run(["weights", "su(2,1)", "-1,0"]) == 0
-    assert capsys.readouterr().out == "0,-1\n"
-    assert run(["weights", "su(2,1)", "--", "-1,0"]) == 0
-    assert capsys.readouterr().out == "0,-1\n"
+def test_weights_without_coordinates_is_a_usage_error(capsys):
+    # "weights su(2,1) -1,0" reads -1,0 as coordinates, not as an option: two rows of CLI_CASES
     assert run(["weights", "su(2,1)"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("usage: satake weights") and "required: coords" in err
@@ -255,11 +248,6 @@ def test_verdict_text(capsys):
 def test_verdict_text_claims_only_a_guarantee(capsys, query, guaranteed):
     assert run(["verdict", *query]) == 0
     assert capsys.readouterr().out.splitlines()[1] == f"equivariant map guaranteed: {guaranteed}"
-
-
-def test_selftest(capsys):
-    assert run(["selftest"]) == 0
-    assert "passed" in capsys.readouterr().out
 
 
 def test_selftest_failure_exits_3(capsys, monkeypatch):
@@ -395,11 +383,7 @@ CLI_CASES = [
     "argv,code,stdout", CLI_CASES, ids=[a if isinstance(a, str) else " ".join(a) for a, *_ in CLI_CASES]
 )
 def test_cli_case(argv, code, stdout):
-    args = ["-c", argv] if isinstance(argv, str) else ["-m", "satake.cli", *argv]
-    env = {**os.environ, "PYTHONPATH": str(Path(satake.__file__).parents[1])}
-    proc = subprocess.run(
-        [sys.executable, "-S", "-X", "dev", "-W", "error", *args], capture_output=True, text=True, env=env
-    )
+    proc = fresh_python(argv, flags="-S -X dev -W error")
     assert proc.returncode == code, proc.stderr
     assert stdout is None or proc.stdout == stdout
     assert code or proc.stderr == ""
@@ -428,9 +412,6 @@ def test_cold_queries_import_only_what_they_run():
         "heavy = {'dataclasses', 'inspect', 'json', 'fractions', 'decimal', 'difflib', 'typing'}\n"
         "print('LOADED', *[sorted(heavy & m) for m in loaded], file=sys.stderr)\n"
     )
-    env = {**os.environ, "PYTHONPATH": str(Path(satake.__file__).parents[1])}
-    proc = subprocess.run(
-        [sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env, check=True
-    )
+    proc = fresh_python(code, flags="-S", check=True)
     assert proc.stderr.strip() == "LOADED [] [] []"
     assert proc.stdout.splitlines()[-1] == "(1 6)(3 5)"

@@ -2,28 +2,29 @@
 
 from __future__ import annotations
 
+import copy
 import functools
 import hashlib
 import importlib
 import itertools
 import json
 import operator
-import os
+import pickle
 import random
 import re
-import subprocess
-import sys
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from conftest import components_by_matrix_scan, diagram_automorphisms, matchings, node_map_report
+from conftest import (
+    components_by_matrix_scan, diagram_automorphisms, fresh_python, matchings, node_map_report,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import satake
 from satake import classify, involution, rootsys
+from satake._record import ReadOnlyDict
 from satake.realforms import catalog
 from satake.diagram import SatakeDiagram, format_diagram, parse_diagram, validate
 from satake.errors import DiagramDataError
@@ -270,18 +271,23 @@ class TestDerivedOnce:
             "restricted_roots(d)\n"
             "print(int('_closure' in d.rs.__dict__))\n"
         )
-        env = {**os.environ, "PYTHONPATH": str(Path(satake.__file__).parents[1])}
-        proc = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
-        )
+        proc = fresh_python(code, check=True)
         assert proc.stdout.split() == ["0", "1"]
 
-    def test_results_are_the_callers_own(self):
-        d = parse_diagram("A3 black=1,3 arrows=")
-        black_corrections(d)[1][0] = 99
-        restricted_roots(d).multiplicity.clear()
-        assert black_corrections(d) == {1: {0: 1, 2: 1}}
-        assert restricted_roots(d).multiplicity == {(1, 2, 1): 4}
+    def test_results_are_shared_and_read_only(self):
+        # each call hands out the diagram's own stage, whose every edit is
+        # refused, so no caller's edit reaches another
+        for d in (parse_diagram("A3 black=1,3 arrows="), SatakeDiagram.create(["A3"], [0, 2], [])):
+            assert black_corrections(d) is black_corrections(d)
+            assert restricted_roots(d) is restricted_roots(d)
+            with pytest.raises(TypeError):
+                black_corrections(d)[1][0] = 99
+            with pytest.raises(TypeError):
+                restricted_roots(d).multiplicity.clear()
+            assert black_corrections(d) == {1: {0: 1, 2: 1}}
+            assert restricted_roots(d).multiplicity == {(1, 2, 1): 4}
+            # the arrow pairing is the diagram's input, handed out as a copy
+            assert d.omega_map is not d.omega_map and type(d.omega_map) is dict
 
 
 class TestAutomorphism:
@@ -749,7 +755,7 @@ class TestJsonEqualsStdlibEncoder:
 
 class TestReadOutByIdentity:
     """The read-out keeps answers by the identity of the objects they came
-    from: other objects, equal or edited, get their own answers."""
+    from: other objects, equal or relabelled, get their own answers."""
 
     def test_equal_copies_get_the_right_answers(self):
         rr = restricted_roots(parse_diagram("E6 black=3,4,5 arrows=1:6"))
@@ -779,19 +785,18 @@ class TestReadOutByIdentity:
         assert base_coordinates(rows, pair) == (1, third)
 
     def test_edited_records_are_written_afresh(self):
+        # a record cannot be edited, but one built from another with a new label has its own text
         d = parse_diagram("A3 black=1,3 arrows=")
         rr = restricted_roots(d)
         first = restricted_to_json(rr)
-        rr.multiplicity[(1, 2, 1)] = 5
-        assert restricted_to_json(rr) == _stdlib_json(rr) != first
         for label in ("X1", None):
             relabelled = involution.RestrictedRoots(rr.base, rr.positive, rr.multiplicity, label)
-            assert restricted_to_json(relabelled) == _stdlib_json(relabelled)
-        assert restricted_to_json(restricted_roots(d)) == first
+            assert restricted_to_json(relabelled) == _stdlib_json(relabelled) != first
+        assert restricted_to_json(restricted_roots(d)) is first
 
     def test_multiplicity_copies_are_read_by_their_objects(self):
-        # a hit compares the copy's keys and values with the kept ones by
-        # identity, in order; any other copy is written afresh
+        # each record writes its own text from its own copy of the
+        # multiplicities it was given, in the order of its positive vectors
         rr = restricted_roots(parse_diagram("E6 black=3,4,5 arrows=1:6"))
         text = restricted_to_json(rr)
         assert restricted_to_json(restricted_roots(parse_diagram("E6 black=3,4,5 arrows=1:6"))) is text
@@ -841,6 +846,75 @@ def test_memo_replaces_a_held_key_in_place():
     assert memo == {"a": (1,), "b": (3,)}
     memo.keep("c", (4,))
     assert memo == {"b": (3,), "c": (4,)}
+
+
+def _setitem(m, k):
+    m[k] = 0
+
+
+def _delitem(m, k):
+    del m[k]
+
+
+def _ior(m, k):
+    m |= {"new": 0}
+
+
+# every dict method that edits in place; ``k`` is a key the map holds
+MUTATORS = {
+    "setitem": _setitem,
+    "delitem": _delitem,
+    "clear": lambda m, k: m.clear(),
+    "pop": lambda m, k: m.pop(k),
+    "popitem": lambda m, k: m.popitem(),
+    "setdefault": lambda m, k: m.setdefault("new", 0),
+    "update": lambda m, k: m.update(new=0),
+    "ior": _ior,
+}
+READ_ONLY = {
+    "multiplicity": lambda d: restricted_roots(d).multiplicity,
+    "corrections": black_corrections,
+    "inner corrections": lambda d: black_corrections(d)[1],
+}
+
+
+class TestReadOnlyValues:
+    """What ``restricted_roots`` and ``black_corrections`` hand out is the
+    diagram's own, so every edit is refused and the value stays."""
+
+    @pytest.mark.parametrize("mutate", MUTATORS.values(), ids=MUTATORS)
+    @pytest.mark.parametrize("read", READ_ONLY.values(), ids=READ_ONLY)
+    def test_every_edit_is_refused(self, read, mutate):
+        d = parse_diagram("A3 black=1,3 arrows=")
+        m = read(d)
+        before = dict(m)
+        with pytest.raises(TypeError):
+            mutate(m, next(iter(m)))
+        assert read(d) is m and m == before and type(m) is ReadOnlyDict
+        assert isinstance(m, dict) and repr(m) == repr(before)
+
+    @pytest.mark.parametrize(
+        "clone", [lambda x: pickle.loads(pickle.dumps(x)), copy.copy, copy.deepcopy],
+        ids=["pickle", "copy", "deepcopy"],
+    )
+    def test_round_trips(self, clone):
+        d = parse_diagram("E6 black=3,4,5 arrows=1:6")
+        rr, corrections = restricted_roots(d), black_corrections(d)
+        text = restricted_to_json(rr)
+        got = clone(rr)
+        assert got == rr and restricted_to_json(got) == text
+        assert type(got.multiplicity) is ReadOnlyDict
+        got = clone(corrections)
+        assert got == corrections and {type(got), *map(type, got.values())} == {ReadOnlyDict}
+
+    def test_a_hand_built_record_keeps_its_own_copy(self):
+        # of the lists and the dict it was built from, which the caller may edit after
+        base, mult = [[1, 2]], {(1, 2): 1}
+        rr = involution.RestrictedRoots(base, [(1, 2)], mult, "A1")
+        text = restricted_to_json(rr)
+        base[0][0], mult[(1, 2)] = 3, 5
+        assert rr == involution.RestrictedRoots(((1, 2),), ((1, 2),), {(1, 2): 1}, "A1")
+        assert restricted_to_json(rr) is text and text == _stdlib_json(rr)
 
 
 def test_root_images_equal_dense_product(full_catalog):
@@ -898,10 +972,7 @@ def test_non_permutation_is_refused(call):
         "resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))\n"
         f"try:\n    print({call})\nexcept ValueError as e:\n    print('ValueError:', e)\n"
     )
-    env = {**os.environ, "PYTHONPATH": str(Path(satake.__file__).parents[1])}
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=30
-    )
+    proc = fresh_python(code, timeout=30)
     assert proc.stdout == "ValueError: not a permutation of the node indices\n", proc.stderr[-300:]
 
 
@@ -934,7 +1005,6 @@ def test_read_out_memos_hold_the_default_catalog(full_catalog):
     rrs = [restricted_roots(rec.diagram) for rec in full_catalog]
     pairs = sum(len(rr.positive) for rr in rrs)
     assert (len(rrs), pairs) == (205, 2923)
-    assert involution._json_memo.bound >= len(rrs)
     assert involution._coordinates_memo.bound >= pairs
     # a fresh interpreter, so each miss is a distinct key of the default catalog
     code = (
@@ -943,10 +1013,7 @@ def test_read_out_memos_hold_the_default_catalog(full_catalog):
         "info = involution._black_shape.cache_info()\n"
         "print(info.misses, info.currsize, info.maxsize)\n"
     )
-    env = {**os.environ, "PYTHONPATH": str(Path(satake.__file__).parents[1])}
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
-    )
+    proc = fresh_python(code, check=True)
     assert proc.stdout.split() == ["34", "34", "None"]
 
 
@@ -969,10 +1036,7 @@ def test_black_shape_memo_keeps_every_block_up_to_the_rank_cap():
         "info = involution._black_shape.cache_info()\n"
         "print(info.misses, info.currsize, info.maxsize)\n"
     )
-    env = {**os.environ, "PYTHONPATH": str(Path(satake.__file__).parents[1])}
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
-    )
+    proc = fresh_python(code, check=True)
     assert proc.stdout.split() == ["137", "137", "None"]
 
 
@@ -1221,24 +1285,18 @@ def test_read_out_misses_in_a_fresh_process(full_catalog):
         "    return texts, [[base_coordinates(rr.base, v) for v in rr.positive] for rr in rrs]\n"
         "texts, coords = read_out()\n"
         "print(_read_out_digest(texts, coords))\n"
-        "print(len(involution._coordinates_memo), len(involution._json_memo))\n"
+        "print(len(involution._coordinates_memo))\n"
         "again = read_out()\n"
         "print(all(map(is_, texts + sum(coords, []), again[0] + sum(again[1], []))))\n"
     )
-    env = {**os.environ, "PYTHONPATH": str(Path(satake.__file__).parents[1])}
-    proc = subprocess.run(
-        [sys.executable, "-c", code, str(Path(__file__).parent)],
-        capture_output=True, text=True, env=env, check=True,
-    )
+    proc = fresh_python(code, str(Path(__file__).parent), check=True)
     rrs = [restricted_roots(rec.diagram) for rec in full_catalog]
     want = _read_out_digest(
         [_stdlib_json(rr) for rr in rrs],
         [[_span_solve(rr.base, v) for v in rr.positive] for rr in rrs],
     )
     pairs = sum(len(rr.positive) for rr in rrs)
-    # the 33 compact forms share one text, under the one empty tuple ()
-    records = len({id(rr.positive) for rr in rrs})
-    assert proc.stdout.split() == [want, str(pairs), str(records), "True"]
+    assert proc.stdout.split() == [want, str(pairs), "True"]
 
 
 @st.composite

@@ -29,7 +29,7 @@ ORACLES = (
     Oracle("doubled", diagram_tests.doubled_census, 4, 6, {"candidates": 9928, "accepted": 320}),
     Oracle("black-tables", involution_tests.black_table_mismatches, 8, 32, {"systems": 66, "entries": 1815}),
     Oracle("predecessors", rootsys_tests.predecessor_mismatches, 8, 32, {"systems": 66, "roots": 2823}),
-    # tier-1's 66 forms fit the read-out and parse memos; CI's 597 overflow them, so both passes evict
+    # tier-1's 66 forms fit the parse memo and both base memos; CI's 597 overflow them, so both passes evict
     Oracle("read-out", involution_tests.read_out_mismatches, 4, 16, {"answers": 782}),
     Oracle("orbit-sums", involution_tests.orbit_sum_mismatches, 16, 32, {"roots": 50795}),
     Oracle("helgason", involution_tests.helgason_mismatches, 16, 32, {"forms": 597}),
