@@ -250,6 +250,11 @@ def test_verdict_text_claims_only_a_guarantee(capsys, query, guaranteed):
     assert capsys.readouterr().out.splitlines()[1] == f"equivariant map guaranteed: {guaranteed}"
 
 
+def test_selftest(capsys):
+    assert run(["selftest"]) == 0
+    assert "passed" in capsys.readouterr().out
+
+
 def test_selftest_failure_exits_3(capsys, monkeypatch):
     import satake.cli as cli
 
