@@ -388,7 +388,7 @@ class RestrictedRoots(Record):
     to each vector, as a read-only dict.  ``base`` lists the distinct
     images of the white simple roots in node order; ``positive`` is
     sorted by height then lexicographically.  ``label`` names the type
-    of the restricted system (e.g. ``"F4"``, ``"BC2"`` or ``"BC1+A2"``)
+    of the restricted system (e.g. ``"F4"``, ``"BC2"`` or ``"A2+BC1"``)
     or is None when there are no restricted roots.
     """
 
@@ -435,8 +435,8 @@ def _restricted_label(rs: RootSystem, first: dict, positive: Container[Coords]) 
 
 
 def _label(cartan: Matrix, doubled: set[int]) -> str | None:
-    """The type of an integral Cartan matrix, joined by ``+``, a component BC
-    when it holds a row in ``doubled``; None for no type."""
+    """The type of an integral Cartan matrix, its components' types sorted and
+    joined by ``+``, each BC when it holds a row in ``doubled``; None for no type."""
     labels: list[str] = []
     nbrs = [[j for j, x in enumerate(row) if x and j != i] for i, row in enumerate(cartan)]
     for comp in _connected_sets(nbrs, range(len(cartan))):
@@ -450,22 +450,22 @@ def _label(cartan: Matrix, doubled: set[int]) -> str | None:
                 return None
             t = f"BC{t.rank}"
         labels.append(str(t))
-    return "+".join(labels) or None
+    return "+".join(sorted(labels)) or None
 
 
 class _Memo(dict):
     """Answers keyed on the id of an object they came from, which each
     entry holds, so no id is reused while it stays and a key found means
-    the very same object.  ``keep`` stores an entry only when each of its
-    vector tuples is a tuple of tuples of ints, which no caller can
-    change; a full memo drops its oldest entry for a new key only."""
+    the very same object.  ``keep`` stores an entry only when ``vectors``
+    is a tuple of tuples of ints, which no caller can change; a full memo
+    drops its oldest entry for a new key only."""
 
     def __init__(self, bound: int):
         self.bound = bound
 
-    def keep(self, key, entry: tuple, *vector_tuples) -> None:
-        if all(type(vs) is tuple and all(type(v) is tuple for v in vs)
-               and {int, bool}.issuperset(map(type, chain(*vs))) for vs in vector_tuples):
+    def keep(self, key, entry: tuple, vectors) -> None:
+        if (type(vectors) is tuple and all(type(v) is tuple for v in vectors)
+                and {int, bool}.issuperset(map(type, chain(*vectors)))):
             if key not in self and len(self) >= self.bound:
                 self.pop(next(iter(self)))
             self[key] = entry

@@ -398,12 +398,6 @@ def induced_node_permutation(rs: RootSystem, nodes: Iterable[int]) -> dict[int, 
     return out
 
 
-def is_diagram_automorphism(rs: RootSystem, perm: Sequence[int]) -> bool:
-    """True when the node permutation preserves every Cartan entry."""
-    _check_permutation(perm, rs.n)
-    return _keeps_bonds(rs, perm)
-
-
 def _keeps_bonds(rs: RootSystem, perm: Sequence[int]) -> bool:
     """Whether a permutation keeps every Cartan entry.  Only the bonds at moved
     nodes are read, both ways, as the matrix is not symmetric: a bond between
@@ -412,14 +406,6 @@ def _keeps_bonds(rs: RootSystem, perm: Sequence[int]) -> bool:
     a, nbrs = rs.cartan, rs._nbrs
     return all(a[p][perm[j]] == a[i][j] and a[perm[j]][p] == a[j][i]
                for i, p in enumerate(perm) if p != i for j in nbrs[i])
-
-
-def connected_node_sets(rs: RootSystem, nodes: Iterable[int]) -> tuple[tuple[int, ...], ...]:
-    """Connected components of the subdiagram spanned by ``nodes``."""
-    nodes = set(nodes)
-    for i in nodes:
-        _check_node(rs, i)
-    return _connected_sets(rs._nbrs, nodes)
 
 
 def _connected_sets(

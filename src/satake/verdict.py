@@ -16,14 +16,14 @@ can genuinely fail, so nothing is guaranteed: each graded axis stays at
 "unknown" and the equivariant map is not guaranteed.
 
 The decision table has four rows, and each is one module-level record
-in ``TABLE``: every verdict is one of them, and its JSON text is written
-once and kept by the record's identity.  A record built by hand is
-written from its own values on every call.
+in ``TABLE``: every verdict is one of them.  A record's JSON text is a
+stage of the record, written on first use and kept with it, for a row of
+``TABLE`` and a record built by hand alike.
 """
 
 from __future__ import annotations
 
-from ._record import Record
+from ._record import Record, _bind, stage
 from .errors import DiagramDataError
 from .involution import satake_automorphism
 
@@ -68,7 +68,8 @@ class SubgroupHypotheses(Record):
 class StructureVerdict(Record):
     """What the theorems guarantee, axis by axis.  ``equivariant_map_exists``
     is ``True`` when a map is guaranteed to exist; ``False`` means "not
-    guaranteed", not that no map exists (for H = {e}, sigma itself is one)."""
+    guaranteed", not that no map exists (for H = {e}, sigma itself is one).
+    ``citations`` and ``caveats`` are stored as tuples."""
 
     _fields = (
         "subgroup_conjugacy",
@@ -79,9 +80,20 @@ class StructureVerdict(Record):
         "caveats",
     )
 
+    def __init__(self, *args, **kwargs):
+        *axes, citations, caveats = _bind(type(self), args, kwargs)
+        Record.__init__(self, *axes, tuple(citations), tuple(caveats))
+
+    @stage
+    def _json(self) -> str:
+        """The text of ``verdict_to_json``."""
+        import json
+
+        return json.dumps(dict(zip(self._fields, self._key)), indent=2)
+
 
 # The decision table's rows: epsilon != id; epsilon = id with H not spherical;
-# spherical; spherical and self-normalizing.
+# spherical; spherical and self-normalizing.  Each keeps its own JSON text.
 NONIDENTITY, NOT_SPHERICAL, SPHERICAL, SPHERICAL_SELF_NORMALIZING = TABLE = (
     StructureVerdict("unknown", False, "unknown", "unknown", ("Sec6-example",),
                      (_SCOPE_CAVEAT, _NONIDENTITY_CAVEAT)),
@@ -113,19 +125,7 @@ def real_structure_verdict(
 
 
 def verdict_to_json(v: StructureVerdict) -> str:
-    """``json.dumps(payload, indent=2)`` of the fields in order.  A row of
-    ``TABLE`` has its text written on first use and kept by identity; any
-    other record is written from its own values on every call."""
-    text = _texts.get(id(v))
-    if text is None:
-        import json
-
-        text = json.dumps(dict(zip(v._fields, v._key)), indent=2)
-        if id(v) in _texts:
-            _texts[id(v)] = text
-    return text
-
-
-# Keyed on the rows' ids, which no other object can take: the rows live as
-# long as the module.
-_texts: dict[int, str | None] = dict.fromkeys(map(id, TABLE))
+    """``json.dumps(payload, indent=2)`` of the fields in order, written on
+    the record's first call and kept with it; a value nested inside a field
+    is written as it was on that first call."""
+    return v._json

@@ -212,7 +212,7 @@ def sample_valid_diagrams(count: int, seed: int, rank_bound: int = 8) -> list:
     no real form.
     """
     from satake.diagram import SatakeDiagram
-    from satake.rootsys import SimpleType, build_root_system, is_diagram_automorphism
+    from satake.rootsys import SimpleType, build_root_system
 
     rng = random.Random(seed)
     simple_types: list[SimpleType] = []
@@ -239,7 +239,8 @@ def sample_valid_diagrams(count: int, seed: int, rank_bound: int = 8) -> list:
             perm = [5, 1, 4, 3, 2, 0]
         else:
             return None
-        return perm if is_diagram_automorphism(rs, perm) and perm != list(range(n)) else None
+        keeps = tuple(perm) in diagram_automorphisms(rs.cartan)
+        return perm if keeps and perm != list(range(n)) else None
 
     out: list = []
     attempts = 0

@@ -14,8 +14,10 @@ import time
 from contextlib import contextmanager
 from pathlib import Path
 
-from conftest import enumerate_weyl, fresh_python, positive_roots_by_orbit
-from satake.realforms import catalog, classify, lookup
+from conftest import (
+    components_by_matrix_scan, enumerate_weyl, fresh_python, positive_roots_by_orbit,
+)
+from satake.realforms import classify, lookup
 from satake.diagram import format_diagram, parse_diagram
 from satake.involution import (
     black_corrections,
@@ -26,7 +28,6 @@ from satake.involution import (
 from satake.rootsys import (
     SimpleType,
     build_root_system,
-    connected_node_sets,
     identify_cartan,
     identity_matrix,
     longest_element,
@@ -104,7 +105,7 @@ def test_criterion_2_action_characterization(full_catalog):
             paired = {i: j for i, j in d.arrows} | {j: i for i, j in d.arrows}
             for i in d.whites:
                 assert perm[i] == paired.get(i, i), rec.name
-            for comp in connected_node_sets(d.rs, d.black):
+            for comp in components_by_matrix_scan(d.rs.cartan, d.black):
                 t = identify_cartan(subdiagram_cartan(d.rs, comp))
                 moved = any(perm[i] != i for i in comp)
                 flips = (

@@ -14,7 +14,7 @@ from satake import involution
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 # Stores that are neither an ``lru_cache`` nor a ``_Memo``, so found by name.
-NAMED = ("rootsys._systems", "rootsys.RootSystem._black_table", "verdict._texts")
+NAMED = ("rootsys._systems", "rootsys.RootSystem._black_table")
 
 
 def _scanned():

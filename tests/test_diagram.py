@@ -159,6 +159,9 @@ class TestCreate:
             ([], [(-1, -1)], ("arrow endpoint out of range", "0<->0")),
             ([], [(1, 1), (0, 9)], ("arrow connects a node to itself", "2<->2")),
             ([], [(0, 9), (1, 1)], ("arrow endpoint out of range", "1<->10")),
+            # node n is one past the last node, at either end of an arrow
+            ([], [(3, 0)], ("arrow endpoint out of range", "4<->1")),
+            ([], [(0, 3)], ("arrow endpoint out of range", "1<->4")),
         ],
     )
     def test_failure_precedence(self, black, arrows, failure):
@@ -322,7 +325,7 @@ class TestValidate:
         d = SatakeDiagram.create(["A3"], arrows=[(0, 1), (0, 2)])
         report = validate(d)
         assert not report.ok and validate(d) is report
-        assert any(check == "node in more than one arrow" for check, _ in report.failures)
+        assert report.failures == (("node in more than one arrow", "node 1"),)
 
     def test_bond_breaking_arrow_is_flagged(self):
         # pairing the ends of A3 while fixing nothing else is fine, but
@@ -511,7 +514,7 @@ def _doubled(t: SimpleType) -> tuple[int, int, list[str]]:
 def _doubled_label(d: SatakeDiagram) -> str | None:
     """The restricted type a real form of TxT has: that of ``T black=
     arrows=`` for the complex algebra, whose arrows join the components,
-    else the ``+``-join of its two factors' types, compact factors left out."""
+    else the sorted ``+``-join of its two factors' types, compact factors left out."""
     t, r = d.types[:1], d.types[0].rank
     if any(i < r <= j for i, j in d.arrows):
         return restricted_roots(SatakeDiagram.create(t)).label
@@ -520,7 +523,7 @@ def _doubled_label(d: SatakeDiagram) -> str | None:
         black = [i - lo for i in d.black if lo <= i < lo + r]
         arrows = [(i - lo, j - lo) for i, j in d.arrows if lo <= i < lo + r]
         labels.append(restricted_roots(SatakeDiagram.create(t, black, arrows)).label)
-    return "+".join(filter(None, labels)) or None
+    return "+".join(sorted(filter(None, labels))) or None
 
 
 def one_edit_census(bound: int) -> tuple[dict[str, int], list[str]]:
@@ -564,6 +567,23 @@ class TestAraki:
     def test_doubled_types(self, t):
         # each T alone; the doubled row in test_oracles sums them
         assert _doubled(t)[2] == []
+
+    def test_product_labels_ignore_component_order(self):
+        # swapping the two components of TxT is a diagram automorphism, so an
+        # accepted diagram and its swap have one restricted type
+        products = 0
+        for t in (t for t in self.SIMPLE if t.rank <= 3):
+            r = t.rank
+            swap = [*range(r, 2 * r), *range(r)]
+            for d in _census([t, t]):
+                if validate(d).ok:
+                    label = restricted_roots(d).label
+                    image = SatakeDiagram.create(
+                        d.types, [swap[i] for i in d.black], [(swap[i], swap[j]) for i, j in d.arrows]
+                    )
+                    assert restricted_roots(image).label == label, format_diagram(d)
+                    products += "+" in (label or "")
+        assert products == 77
 
     def test_pinned_examples(self):
         report = validate(parse_diagram("A2 black=1 arrows="))

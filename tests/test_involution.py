@@ -44,7 +44,6 @@ from satake.rootsys import (
     SimpleType,
     _rank_ok,
     build_root_system,
-    connected_node_sets,
     identify_cartan,
     identity_matrix,
     induced_node_permutation,
@@ -332,7 +331,7 @@ class TestBlackFlip:
         for black in blacks:
             d = SatakeDiagram(types, black, ())
             perm, _ = d._node_map
-            for comp in connected_node_sets(d.rs, black):
+            for comp in components_by_matrix_scan(d.rs.cartan, black):
                 assert {i: perm[i] for i in comp} == induced_node_permutation(d.rs, comp), black
 
 
@@ -347,7 +346,7 @@ def _black_blocks() -> dict:
         for nodes in itertools.chain.from_iterable(
             itertools.combinations(range(rs.n), k) for k in range(1, rs.n + 1)
         ):
-            if len(connected_node_sets(rs, nodes)) == 1:
+            if len(components_by_matrix_scan(rs.cartan, nodes)) == 1:
                 out.setdefault(subdiagram_cartan(rs, nodes), (rs, nodes))
     for t in ("A32", "B32", "C32", "D32"):
         rs = build_root_system([t])
@@ -676,7 +675,7 @@ def _reference_label(rs, rr):
             labels.append(f"BC{t.rank}")
         else:
             return None
-    return "+".join(labels)
+    return "+".join(sorted(labels))
 
 
 def _stdlib_json(rr) -> str:
@@ -840,11 +839,11 @@ class TestReadOutByIdentity:
 def test_memo_replaces_a_held_key_in_place():
     # a full memo evicts for a new key only
     memo = involution._Memo(2)
-    memo.keep("a", (1,))
-    memo.keep("b", (2,))
-    memo.keep("b", (3,))
+    memo.keep("a", (1,), ())
+    memo.keep("b", (2,), ())
+    memo.keep("b", (3,), ())
     assert memo == {"a": (1,), "b": (3,)}
-    memo.keep("c", (4,))
+    memo.keep("c", (4,), ())
     assert memo == {"b": (3,), "c": (4,)}
 
 

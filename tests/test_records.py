@@ -152,6 +152,8 @@ def test_argument_errors(cls, fields, changed, text):
     else:
         with pytest.raises(TypeError):  # the last field missing
             cls(**head)
+        with pytest.raises(TypeError):  # the last field missing, the others by position
+            cls(*values[:-1])
     with pytest.raises(TypeError):  # an unknown keyword
         cls(*values, extra=1)
     with pytest.raises(TypeError):  # the first field by position and by keyword

@@ -27,11 +27,9 @@ from satake.rootsys import (
     _root_closure,
     apply_word,
     build_root_system,
-    connected_node_sets,
     identify_cartan,
     identity_matrix,
     induced_node_permutation,
-    is_diagram_automorphism,
     longest_element,
     mat_mul,
     subdiagram_cartan,
@@ -164,6 +162,9 @@ class TestConstruction:
             (("A3", "B3"), "a doubled system needs two equal types, got A3 and B3"),
             (("A2", "A2", "A2"), "at most two components are supported"),
             ((), "at least one simple type is required"),
+            # the hint is for D2 alone, not for another rank of D or rank 2 of another family
+            (("D1",), "invalid simple type D1"),
+            (("E2",), "invalid simple type E2"),
         ],
     )
     def test_bad_names_raise_on_every_call(self, bad, text):
@@ -410,22 +411,12 @@ class TestWeylEnumeration:
 
 class TestDiagramAutomorphism:
     def test_a2_flip(self):
-        assert is_diagram_automorphism(_sys("A2"), [1, 0])
+        assert rootsys._keeps_bonds(_sys("A2"), [1, 0])
 
     def test_b2_swap_rejected(self):
         rs = _sys("B2")
         assert rs.cartan[0][1] != rs.cartan[1][0]
-        assert not is_diagram_automorphism(rs, [1, 0])
-
-    def test_not_a_permutation(self):
-        with pytest.raises(ValueError):
-            is_diagram_automorphism(_sys("A2"), [0, 0])
-
-    def test_not_a_permutation_though_every_bond_is_kept(self):
-        # [0, 0] moves node 2 only, which has no bond in A1xA1, so the
-        # bond check alone would pass it; the public check still raises
-        with pytest.raises(ValueError, match="not a permutation of the node indices"):
-            is_diagram_automorphism(_sys(["A1", "A1"]), [0, 0])
+        assert not rootsys._keeps_bonds(rs, [1, 0])
 
     @pytest.mark.parametrize(
         "types,perm",
@@ -439,7 +430,7 @@ class TestDiagramAutomorphism:
     )
     def test_named_automorphisms(self, types, perm):
         rs = _sys(types)
-        assert is_diagram_automorphism(rs, perm)
+        assert rootsys._keeps_bonds(rs, perm)
         assert perm in map(list, diagram_automorphisms(rs.cartan))
 
 
@@ -474,7 +465,7 @@ def _keeps_every_entry(rs, perm) -> bool:
 def test_automorphism_check_matches_the_definition(sp):
     # bonds alone decide it
     rs, perm = sp
-    assert is_diagram_automorphism(rs, perm) == _keeps_every_entry(rs, perm)
+    assert rootsys._keeps_bonds(rs, perm) == _keeps_every_entry(rs, perm)
 
 
 @pytest.mark.parametrize(
@@ -483,7 +474,7 @@ def test_automorphism_check_matches_the_definition(sp):
 def test_automorphism_check_on_every_permutation(types):
     rs = _sys(types)
     for perm in itertools.permutations(range(rs.n)):
-        assert is_diagram_automorphism(rs, perm) == _keeps_every_entry(rs, perm), perm
+        assert rootsys._keeps_bonds(rs, perm) == _keeps_every_entry(rs, perm), perm
 
 
 class TestIdentifyCartan:
@@ -721,4 +712,3 @@ def test_connected_sets_walk_equals_a_matrix_scan(name):
         subset = [k for k in range(rs.n) if mask >> k & 1]
         want = components_by_matrix_scan(rs.cartan, subset)
         assert rootsys._connected_sets(rs._nbrs, subset) == want
-        assert connected_node_sets(rs, subset) == want

@@ -48,8 +48,8 @@ def test_diagram_of_no_real_form_is_refused(hyp):
 
 
 def test_json_is_the_value_of_the_verdict():
-    # a verdict is one of the decision table's records, whose text is kept
-    # by identity, and a verdict outside the table is written too
+    # a verdict is one of the decision table's records, and each record,
+    # one outside the table too, keeps its own text
     v = real_structure_verdict(lookup("sl(3,R)").diagram, SubgroupHypotheses(True, False))
     again = real_structure_verdict(lookup("sl(4,R)").diagram, SubgroupHypotheses(True, False))
     assert v is again and verdict_to_json(v) == verdict_to_json(again)
@@ -115,6 +115,17 @@ def test_equal_verdicts_are_written_from_their_own_values():
             )
             assert v == row and verdict_to_json(v) == _dumps(v)
             assert verdict_to_json(row) == _dumps(row)
+
+
+def test_a_list_passed_in_is_copied():
+    # the record stores tuples, so a list edited after it is built changes
+    # neither the record nor the text it keeps
+    citations = ["Thm1.1"]
+    v = StructureVerdict("guaranteed", True, "exists-unique", "exists-unique-structure", citations, [])
+    text = verdict_to_json(v)
+    citations.append("Thm1.2")
+    assert v.citations == ("Thm1.1",) and v.caveats == ()
+    assert verdict_to_json(v) is text and text == _dumps(v)
 
 
 def test_json_field_order():
