@@ -220,10 +220,9 @@ def _selftest_checks(d: SatakeDiagram, failures: list[str], tag: str) -> None:
     failures.extend(f"{tag}: {check}: {detail}" for check, detail in involution_failures(d))
     perm = satake_automorphism(d)
     # the node map reads the black flip off each component's shape; the
-    # word for the component's longest element is the independent side
-    for comp, *_ in d._black_components:
-        if {i: perm[i] for i in comp} != induced_node_permutation(rs, comp):
-            failures.append(f"{tag}: black component {comp} flips unlike -w0")
+    # word for the whole black set's longest element is the independent side
+    if {i: perm[i] for i in d.black} != induced_node_permutation(rs, d.black):
+        failures.append(f"{tag}: black set {tuple(sorted(d.black))} flips unlike -w0")
     if d.is_doubled:
         r = d.types[0].rank
         if any(perm[i] < r for i in range(r)):

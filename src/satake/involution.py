@@ -129,8 +129,7 @@ class _Derivation:
     ``dual_cartan_involution`` likewise, so each layer's public function
     is where its work is done.  ``_admissibility`` holds the diagram's one
     ``ValidationReport``, of the node map's failures or else Araki's
-    rule's, for ``validate`` and the verdict; both read the black
-    components, as the selftest's flip check does.
+    rule's, for ``validate`` and the verdict; both read the black components.
     """
 
     @stage

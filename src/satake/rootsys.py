@@ -372,30 +372,26 @@ def induced_node_permutation(rs: RootSystem, nodes: Iterable[int]) -> dict[int, 
 
     ``w`` is the longest element on the subset; it maps every simple root
     of the subset to the negative of another one, so the result is a
-    total involution on the subset.  The word keeps the subset's span, so it
-    acts on all the images at once, in ``subdiagram_cartan``'s coordinates:
-    row y holds coordinate y of each, and ``s_u`` sets row u to minus itself
-    minus ``a_uj`` times row j for each bond ``(u, j)``.
+    total involution on the subset.  A weight with the distinct pairings
+    1..k at the sorted subset's simple coroots goes through the word as
+    ``longest_element`` takes rho, and ``<w lambda, alpha_u^vee> =
+    -<lambda, alpha_sigma(u)^vee>``: pairing -m at u names the m-th node.
+    Only w makes a regular dominant weight antidominant, so any other word
+    leaves the pairings no permutation of -1..-k.
     """
     subset = sorted(set(nodes))
-    word = [subset.index(u) for u in reversed(longest_element(rs, subset))]
-    a, k = subdiagram_cartan(rs, subset), len(subset)
-    bonds = [[(j, c) for j, c in enumerate(row) if c and j != u] for u, row in enumerate(a)]
-    rows = [[int(y == x) for x in range(k)] for y in range(k)]
-    for u in word:
-        row = [-x for x in rows[u]]
-        for j, c in bonds[u]:
-            row = [x - c * y for x, y in zip(row, rows[j])]
-        rows[u] = row
-    out: dict[int, int] = {}
-    for i, image in zip(subset, zip(*rows)):
-        if sorted(image) != [-1] + [0] * (k - 1):
-            raise RuntimeError(
-                f"-w(alpha_{i + 1}) is not a simple root of the subset; "
-                "longest-element computation is broken"
-            )
-        out[i] = subset[image.index(-1)]
-    return out
+    a = rs.cartan
+    c = {u: m for m, u in enumerate(subset, 1)}
+    for i in longest_element(rs, subset):
+        ci = c[i]
+        for j in subset:
+            c[j] -= ci * a[j][i]
+    if sorted(c.values()) != list(range(-len(subset), 0)):
+        raise RuntimeError(
+            "the word does not make a regular dominant weight antidominant; "
+            "longest-element computation is broken"
+        )
+    return {u: subset[-x - 1] for u, x in c.items()}
 
 
 def _keeps_bonds(rs: RootSystem, perm: Sequence[int]) -> bool:
@@ -427,13 +423,6 @@ def _connected_sets(
                         comp.append(v)
             out.append(tuple(sorted(comp)))
     return tuple(out)  # seeded at each least unreached node, so already sorted
-
-
-def subdiagram_cartan(rs: RootSystem, nodes: Sequence[int]) -> Matrix:
-    """Cartan matrix restricted to ``nodes`` (in the given order)."""
-    for i in nodes:
-        _check_node(rs, i)
-    return tuple(tuple(rs.cartan[i][j] for j in nodes) for i in nodes)
 
 
 def _shape(cartan: Sequence[Sequence[int]]) -> tuple | None:

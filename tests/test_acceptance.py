@@ -32,7 +32,6 @@ from satake.rootsys import (
     identity_matrix,
     longest_element,
     mat_mul,
-    subdiagram_cartan,
     word_matrix,
 )
 from satake.verdict import (
@@ -105,8 +104,9 @@ def test_criterion_2_action_characterization(full_catalog):
             paired = {i: j for i, j in d.arrows} | {j: i for i, j in d.arrows}
             for i in d.whites:
                 assert perm[i] == paired.get(i, i), rec.name
-            for comp in components_by_matrix_scan(d.rs.cartan, d.black):
-                t = identify_cartan(subdiagram_cartan(d.rs, comp))
+            c = d.rs.cartan
+            for comp in components_by_matrix_scan(c, d.black):
+                t = identify_cartan(tuple(tuple(c[i][j] for j in comp) for i in comp))
                 moved = any(perm[i] != i for i in comp)
                 flips = (
                     (t.family == "A" and t.rank >= 2)

@@ -49,14 +49,14 @@ from satake.rootsys import (
     induced_node_permutation,
     longest_element,
     mat_mul,
-    subdiagram_cartan,
     word_matrix,
 )
 from satake.verdict import real_structure_verdict
 
 
 def test_black_components_are_found_once(monkeypatch):
-    # the node map, Araki's rule and the selftest's flip check read one stage
+    # the node map and Araki's rule read one stage; the selftest's flip
+    # check reads the whole black set, not the components
     calls = []
     found = involution._connected_sets
     monkeypatch.setattr(
@@ -327,12 +327,14 @@ def _flip_cases():
 class TestBlackFlip:
     @pytest.mark.parametrize("types,blacks", _flip_cases())
     def test_shape_flip_is_the_words_flip(self, types, blacks):
-        # every black set of the types of rank 8 or less, and the full black set above
+        # every black set of the types of rank 8 or less, and the full black
+        # set above: each component's word, then the whole set's, as the selftest reads it
         for black in blacks:
             d = SatakeDiagram(types, black, ())
             perm, _ = d._node_map
             for comp in components_by_matrix_scan(d.rs.cartan, black):
                 assert {i: perm[i] for i in comp} == induced_node_permutation(d.rs, comp), black
+            assert {i: perm[i] for i in black} == induced_node_permutation(d.rs, black), black
 
 
 @functools.cache
@@ -343,11 +345,12 @@ def _black_blocks() -> dict:
     out: dict = {}
     for t in [f"{f}{n}" for f in _FAMILIES for n in range(1, 9) if _rank_ok(f, n)]:
         rs = build_root_system([t])
+        c = rs.cartan
         for nodes in itertools.chain.from_iterable(
             itertools.combinations(range(rs.n), k) for k in range(1, rs.n + 1)
         ):
-            if len(components_by_matrix_scan(rs.cartan, nodes)) == 1:
-                out.setdefault(subdiagram_cartan(rs, nodes), (rs, nodes))
+            if len(components_by_matrix_scan(c, nodes)) == 1:
+                out.setdefault(tuple(tuple(c[i][j] for j in nodes) for i in nodes), (rs, nodes))
     for t in ("A32", "B32", "C32", "D32"):
         rs = build_root_system([t])
         out.setdefault(rs.cartan, (rs, tuple(range(rs.n))))

@@ -32,7 +32,6 @@ from satake.rootsys import (
     induced_node_permutation,
     longest_element,
     mat_mul,
-    subdiagram_cartan,
     word_matrix,
 )
 
@@ -383,6 +382,17 @@ class TestLongestElement:
     def test_isolated_nodes_negate_themselves(self):
         assert induced_node_permutation(_sys("A3"), [0, 2]) == {0: 0, 2: 2}
 
+    @pytest.mark.parametrize(
+        "name,nodes,broken",
+        [("A2", [0, 1], lambda word: ()), ("D5", range(5), lambda word: word[:-1])],
+        ids=["no-word", "word-short-by-one"],
+    )
+    def test_a_word_other_than_w0_is_refused(self, monkeypatch, name, nodes, broken):
+        found = rootsys.longest_element
+        monkeypatch.setattr(rootsys, "longest_element", lambda rs, subset: broken(found(rs, subset)))
+        with pytest.raises(RuntimeError, match="longest-element computation is broken"):
+            induced_node_permutation(_sys(name), nodes)
+
     @pytest.mark.parametrize("name", ALL_SIMPLE)
     def test_negation_triviality_table(self, name):
         # the classical table: -w0 flips the diagram exactly for A_n
@@ -484,7 +494,8 @@ class TestIdentifyCartan:
         rng = random.Random(hash(name) & 0xFFFF)
         order = list(range(rs.n))
         rng.shuffle(order)
-        relabeled = subdiagram_cartan(rs, order)
+        c = rs.cartan
+        relabeled = tuple(tuple(c[i][j] for j in order) for i in order)
         got = identify_cartan(relabeled)
         want = SimpleType.parse(name)
         if want in (SimpleType("C", 2), SimpleType("D", 3)):
