@@ -351,11 +351,6 @@ def involution_failures(d) -> Failures:
                 for k in d.whites
                 if vec[k] != 0
             ]
-            fails += [
-                ("corrections", f"white node {i + 1} has a negative coefficient at black node {k + 1}")
-                for k in sorted(d.black)
-                if vec[k] < 0
-            ]
     return tuple(fails)
 
 

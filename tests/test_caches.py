@@ -37,7 +37,8 @@ def package_caches() -> set[str]:
 
 def cache_fills() -> list[str]:
     """Each scanned cache's fill, against its bound where it has one, one
-    line each; CI prints them after the selftest at the rank cap."""
+    line each; ``tests/test_oracles.py`` as a script prints them after its
+    rows, the last of which is the selftest at the rank cap."""
     out = []
     for path, obj in _scanned():
         if isinstance(obj, involution._Memo):

@@ -171,12 +171,11 @@ class TestLawChecksFire:
               ("corrections", "white node 1 has a stray coefficient at white node 2"),
               ("corrections", "white node 2 has a stray coefficient at white node 1"),
               ("corrections", "white node 2 has a stray coefficient at white node 2")]),
-            # the root laws make theta(alpha_i) a negative root for white i, so
-            # no lattice involution alone gives a negative black coefficient;
-            # a pairing of so(2,7)'s white node 1 with black node 3 does
+            # a pairing of so(2,7)'s white node 1 with black node 3 leaves a
+            # negative black coefficient; the root laws make -theta(alpha_1) a
+            # positive root, so a white coefficient stays too, and is stray
             (["B4"], (2, 3), "_omega", {0: 2, 1: 1},
-             [("corrections", "white node 1 has a stray coefficient at white node 1"),
-              ("corrections", "white node 1 has a negative coefficient at black node 3")]),
+             [("corrections", "white node 1 has a stray coefficient at white node 1")]),
         ],
         ids=["not-involution", "squared", "fixes-black", "roots", "swaps-noncompact",
              "stray-correction", "negative-correction"],
